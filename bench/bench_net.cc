@@ -1,7 +1,7 @@
 // Socket front-end round-trip benchmarks (docs/PROTOCOL.md): a live
 // net::Server on a loopback listener, driven by the blocking net::Client.
 // Each sample is one full request/response hop — encode, CRC, kernel
-// loopback, epoll wake, Dispatch, response queue, decode — so the numbers
+// loopback, poll() wake, Dispatch, response queue, decode — so the numbers
 // bound the per-frame overhead the TCNP layer adds on top of the
 // in-process CrowdService calls:
 //

@@ -12,9 +12,9 @@
 namespace tcrowd {
 
 /// Binary on-disk codec for the durable answer log (see
-/// docs/PERSISTENCE.md). Four framed record kinds share one discipline —
-/// little-endian fixed-width fields, an explicit format version, and a
-/// trailing CRC-32 over everything before it:
+/// docs/PERSISTENCE.md). Four framed record kinds share the byte format of
+/// data/byte_codec.h — little-endian fixed-width fields, an explicit format
+/// version, and a trailing CRC-32 over everything before it:
 ///
 ///  - **answer block**: the chronological slice of the log one sealed
 ///    segment file holds (`EncodeAnswerBlock`/`DecodeAnswerBlock`);
@@ -46,10 +46,6 @@ namespace tcrowd {
 /// decoders refuse other revisions rather than guessing. Version 2 added
 /// the manifest's retraction table and the journal retraction record.
 inline constexpr uint32_t kSegmentCodecVersion = 2;
-
-/// CRC-32 (IEEE 802.3 polynomial, bit-reflected) of `n` bytes, chainable
-/// via `seed` (pass the previous call's return value to continue a stream).
-uint32_t Crc32(const void* data, size_t n, uint32_t seed = 0);
 
 /// Order-sensitive FNV-1a fingerprint of the table shape a snapshot was
 /// written under: number of rows plus every column's name, type, label set,

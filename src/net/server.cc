@@ -5,9 +5,6 @@
 #include <string.h>
 #include <sys/socket.h>
 #include <unistd.h>
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
 
 #include <algorithm>
 #include <utility>
@@ -51,8 +48,8 @@ struct Server::Connection {
   bool reads_paused = false;     ///< write queue past the high watermark
   bool close_after_flush = false;
   bool more_frames = false;  ///< whole frames may still be buffered (cap hit)
-  /// Protocol version Hello negotiated for this connection (1 until a v2
-  /// Hello succeeds); gates the v2-only message kinds.
+  /// Protocol version Hello negotiated for this connection (1 until a
+  /// negotiating Hello succeeds); gates the v3-only message kinds.
   uint8_t negotiated_version = 1;
 };
 
@@ -368,26 +365,6 @@ bool Server::Dispatch(Connection* conn, const Frame& frame) {
       EncodeLogGatherResponse(out, &resp);
       break;
     }
-    case MsgType::kShardDelta: {
-      ShardDeltaRequest req;
-      if (!DecodeShardDeltaRequest(p.data(), p.size(), &req).ok()) {
-        return false;
-      }
-      ShardDeltaResponse out;
-      if (conn->negotiated_version < 2 || !options_.shard_delta_handler) {
-        // Either the peer never negotiated v2 or this server has no
-        // replica role; answer instead of dropping so the sender can tell
-        // refusal from corruption.
-        out.status = WireStatus::kFailedPrecondition;
-      } else {
-        Status st = options_.shard_delta_handler(req, &out);
-        if (!st.ok() && out.status == WireStatus::kOk) {
-          out.status = WireStatusFromCode(st.code());
-        }
-      }
-      EncodeShardDeltaResponse(out, &resp);
-      break;
-    }
     default:
       // Response types are valid frames but nonsensical as requests.
       return false;
@@ -530,16 +507,7 @@ Status Server::Run() {
     return Status::FailedPrecondition("Listen() must succeed before Run()");
   }
   running_.store(true, std::memory_order_release);
-  Status st;
-#ifdef __linux__
-  if (!options_.force_poll) {
-    st = RunEpoll();
-  } else {
-    st = RunPoll();
-  }
-#else
-  st = RunPoll();
-#endif
+  Status st = RunPoll();
   connections_.clear();
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
@@ -606,118 +574,5 @@ Status Server::RunPoll() {
   }
   return Status::Ok();
 }
-
-#ifdef __linux__
-void Server::UpdateEpoll(int epfd, Connection* conn) {
-  epoll_event ev;
-  memset(&ev, 0, sizeof(ev));
-  ev.data.fd = conn->fd.get();
-  if (!paused(*conn) && !conn->close_after_flush) ev.events |= EPOLLIN;
-  if (wants_write(*conn)) ev.events |= EPOLLOUT;
-  ::epoll_ctl(epfd, EPOLL_CTL_MOD, conn->fd.get(), &ev);
-}
-
-Status Server::RunEpoll() {
-  OwnedFd epfd(::epoll_create1(0));
-  if (!epfd.valid()) {
-    return Status::IoError(std::string("epoll_create1: ") + strerror(errno));
-  }
-  epoll_event ev;
-  memset(&ev, 0, sizeof(ev));
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_.get();
-  if (::epoll_ctl(epfd.get(), EPOLL_CTL_ADD, listen_fd_.get(), &ev) != 0) {
-    return Status::IoError(std::string("epoll_ctl: ") + strerror(errno));
-  }
-  ev.data.fd = wake_read_.get();
-  if (::epoll_ctl(epfd.get(), EPOLL_CTL_ADD, wake_read_.get(), &ev) != 0) {
-    return Status::IoError(std::string("epoll_ctl: ") + strerror(errno));
-  }
-  std::vector<epoll_event> events(128);
-  while (!stop_.load(std::memory_order_acquire)) {
-    bool backlog = false;
-    for (auto& [fd, conn] : connections_) {
-      if (conn->more_frames && !paused(*conn)) {
-        backlog = true;
-        break;
-      }
-    }
-    int rc = ::epoll_wait(epfd.get(), events.data(),
-                          static_cast<int>(events.size()),
-                          backlog ? 0 : -1);
-    if (rc < 0) {
-      if (errno == EINTR) continue;
-      return Status::IoError(std::string("epoll_wait: ") + strerror(errno));
-    }
-    if (stop_.load(std::memory_order_acquire)) break;
-    std::vector<int> dead;
-    for (int i = 0; i < rc; ++i) {
-      int fd = events[i].data.fd;
-      uint32_t revents = events[i].events;
-      if (fd == wake_read_.get()) {
-        char drain[64];
-        while (::read(wake_read_.get(), drain, sizeof(drain)) > 0) {
-        }
-        continue;
-      }
-      if (fd == listen_fd_.get()) {
-        size_t before = connections_.size();
-        AcceptPending();
-        if (connections_.size() > before) {
-          // Register the newcomers.
-          for (auto& [cfd, conn] : connections_) {
-            epoll_event add;
-            memset(&add, 0, sizeof(add));
-            add.events = EPOLLIN;
-            add.data.fd = cfd;
-            if (::epoll_ctl(epfd.get(), EPOLL_CTL_ADD, cfd, &add) != 0 &&
-                errno != EEXIST) {
-              dead.push_back(cfd);
-            }
-            (void)conn;
-          }
-        }
-        continue;
-      }
-      auto it = connections_.find(fd);
-      if (it == connections_.end()) continue;
-      Connection* conn = it->second.get();
-      bool alive = true;
-      if ((revents & (EPOLLERR | EPOLLHUP)) != 0 &&
-          (revents & EPOLLIN) == 0 && !wants_write(*conn)) {
-        alive = false;
-      }
-      if (alive && (revents & EPOLLOUT) != 0) alive = HandleWritable(conn);
-      if (alive && (revents & (EPOLLIN | EPOLLHUP)) != 0) {
-        alive = HandleReadable(conn);
-      }
-      if (alive && conn->close_after_flush && !wants_write(*conn)) {
-        alive = false;
-      }
-      if (!alive) {
-        dead.push_back(fd);
-      } else {
-        UpdateEpoll(epfd.get(), conn);
-      }
-    }
-    // Frames left buffered by the fairness cap or a lifted pause: serve a
-    // round even though the socket reported no fresh bytes.
-    for (auto& [fd, conn] : connections_) {
-      if (std::find(dead.begin(), dead.end(), fd) != dead.end()) continue;
-      if (conn->more_frames && !paused(*conn)) {
-        if (!ServeFrames(conn.get())) {
-          dead.push_back(fd);
-        } else if (conn->close_after_flush && !wants_write(*conn)) {
-          dead.push_back(fd);
-        } else {
-          UpdateEpoll(epfd.get(), conn.get());
-        }
-      }
-    }
-    for (int fd : dead) CloseConnection(fd);
-  }
-  return Status::Ok();
-}
-#endif  // __linux__
 
 }  // namespace tcrowd::net

@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -17,9 +16,6 @@
 namespace tcrowd::net {
 
 struct ServerOptions {
-  /// Use poll() even when epoll is available — keeps the fallback path
-  /// exercised by the same tests that run the epoll path.
-  bool force_poll = false;
   /// Listen backlog.
   int backlog = 128;
   /// Per-connection write-queue high watermark (bytes). A connection whose
@@ -37,13 +33,6 @@ struct ServerOptions {
   /// Fairness: max frames served per connection per event-loop wake, so a
   /// flooding connection with a full read buffer cannot starve its peers.
   int max_frames_per_wake = 16;
-  /// v2 inter-shard replication hook (docs/SHARDING.md): when set, a
-  /// ShardDelta frame arriving on a connection that negotiated protocol
-  /// version >= 2 is handed here (e.g. into a service::StandbyReplica).
-  /// Unset, or on a v1 connection, the request is answered with
-  /// FAILED_PRECONDITION instead of being dropped.
-  std::function<Status(const ShardDeltaRequest&, ShardDeltaResponse*)>
-      shard_delta_handler;
 };
 
 /// Counters the event loop maintains; exported via Stats responses and
@@ -59,11 +48,11 @@ struct NetStats {
   uint64_t frame_errors = 0;
 };
 
-/// The tcrowd_serverd front-end: one thread, one event loop (epoll on
-/// Linux, poll() everywhere or under force_poll), many connections, every
-/// request dispatched onto the shared CrowdService. Because the loop is
-/// single-threaded, service calls happen in exactly the order frames
-/// complete — the property behind socket-mode determinism.
+/// The tcrowd_serverd front-end: one thread, one portable poll() event
+/// loop, many connections, every request dispatched onto the shared
+/// CrowdService. Because the loop is single-threaded, service calls happen
+/// in exactly the order frames complete — the property behind socket-mode
+/// determinism.
 ///
 /// The same listener also answers plain-text HTTP: a connection whose first
 /// bytes are not the frame magic is sniffed, and `GET /metrics` returns the
@@ -121,11 +110,6 @@ class Server {
   bool paused(const Connection& conn) const;
 
   Status RunPoll();
-#ifdef __linux__
-  Status RunEpoll();
-  /// Re-arms the epoll registration after queue/pause state changed.
-  void UpdateEpoll(int epfd, Connection* conn);
-#endif
 
   service::ServingBackend* const service_;
   const ServerOptions options_;

@@ -4,6 +4,7 @@
 
 #include "common/string_util.h"
 #include "data/answer.h"
+#include "data/byte_codec.h"
 #include "inference/segment_codec.h"
 
 namespace tcrowd::service {

@@ -13,6 +13,7 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "data/byte_codec.h"
 #include "platform/trace.h"
 
 namespace tcrowd::service {

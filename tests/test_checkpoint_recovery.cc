@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "assignment/policies.h"
+#include "data/byte_codec.h"
 #include "inference/segment_codec.h"
 #include "inference/tcrowd_model.h"
 #include "service/crowd_service.h"

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -168,6 +169,49 @@ TEST(EventLog, FullVocabularyRoundTripsBitExactly) {
   for (size_t k = 0; k < in.size(); ++k) {
     SCOPED_TRACE(EventTypeName(in[k].type));
     ExpectEventsEqual(in[k], out.events[k]);
+  }
+}
+
+// Golden bytes: one literal TCEV frame per event type, so a change to the
+// shared byte codec (data/byte_codec.h) provably leaves recorded logs
+// readable. The run-start event carries NaN, -0.0 and a denormal.
+TEST(EventLog, EveryEventTypeEncodesToItsPinnedBytes) {
+  const char* const kGolden[] = {
+      // run-start
+      "5443455601000000000df0fecaefbeadde090000007374727563747572652200"
+      "0000726f77733d313220636f6c733d3320726174696f3d302e3520776f726b65"
+      "72733d38efcdab89674523010c00000005000000000000000300000000000000"
+      "01000000000200000005000000020000000000000001000000000000f87f0700"
+      "0000010000000100000001000000000000008009000000030000000200000001"
+      "01000000000000000b000000040000000000000002c2f2a5d1",
+      // session-start
+      "5443455601000000012a00000000000000f9fffffffedc9fcc",
+      // leases
+      "5443455601000000022a000000000000000300000000000000000000000b0000"
+      "0002000000050000000100000092c9098b",
+      // answer-batch
+      "5443455601000000032a00000000000000040000000000000000000000000100"
+      "0000000b00000002000000019a9999999999b93f000900000009000000000000"
+      "00000205000000010000000201eda578e3",
+      // retract
+      "54434556010000000403000000000000000100000000c8547eb3",
+      // session-end
+      "5443455601000000052a000000000000007acf442e",
+      // sessions-expired
+      "5443455601000000060300000001000000000000000200000000000000280000"
+      "0000000000a94b9d6e",
+      // seal
+      "5443455601000000078000000000000000b81c3f3b",
+      // finalize
+      "54434556010000000867452301cefaedfe6b000000000000004f24eaeb",
+  };
+  std::vector<RecordedEvent> events = FullVocabulary();
+  ASSERT_EQ(events.size(), std::size(kGolden));
+  for (size_t k = 0; k < events.size(); ++k) {
+    std::string bytes;
+    EncodeEvent(events[k], &bytes);
+    EXPECT_EQ(testing::HexBytes(bytes), kGolden[k])
+        << EventTypeName(events[k].type);
   }
 }
 

@@ -210,6 +210,19 @@ inline void RunCleanPrefixFuzz(
   }
 }
 
+/// Lower-case hex of `bytes`: the golden-bytes comparator shared by the
+/// three codec tests (a mismatch prints both encodings in diffable form).
+inline std::string HexBytes(const std::string& bytes) {
+  static const char kDigits[] = "0123456789abcdef";
+  std::string hex;
+  hex.reserve(bytes.size() * 2);
+  for (unsigned char c : bytes) {
+    hex.push_back(kDigits[c >> 4]);
+    hex.push_back(kDigits[c & 0xf]);
+  }
+  return hex;
+}
+
 /// Cell-by-cell table comparison; `tol == 0.0` demands bit-identical
 /// continuous estimates (EXPECT_NEAR with a zero bound is exact equality).
 inline void ExpectTablesMatch(const Schema& schema, const Table& a,

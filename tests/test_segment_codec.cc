@@ -8,6 +8,7 @@
 #include <limits>
 #include <vector>
 
+#include "data/byte_codec.h"
 #include "test_helpers.h"
 
 namespace tcrowd {
@@ -296,6 +297,58 @@ TEST(Journal, RetractionRecordsInterleaveWithBatches) {
   EXPECT_EQ(replay.records[1].base_id, 2u);
   // Journal order preserved, no dedup — the consumer owns id resolution.
   EXPECT_EQ(replay.retracted_ids, (std::vector<uint64_t>{1, 2, 0}));
+}
+
+// ---------------------------------------------------------------------------
+// Golden bytes: one literal encoding per record kind, so a change to the
+// shared byte codec (data/byte_codec.h) provably leaves the on-disk format
+// untouched. The continuous values include NaN, -0.0 and a denormal.
+
+TEST(GoldenBytes, EveryRecordKindEncodesToItsPinnedBytes) {
+  std::vector<Answer> answers = AwkwardAnswers();
+  std::string block;
+  EncodeAnswerBlock(answers.data(), answers.size(), &block);
+  EXPECT_EQ(testing::HexBytes(block),
+            "5443534702000000080000000000000000000000000000000000000000020000"
+            "00010000000300000001000000019a9999999999b93f02000000010000000100"
+            "0000010000000000000080070000000200000001000000010100000000000000"
+            "07000000020000000100000001ffffffffffffefff0300000000000000010000"
+            "0001000000000000f87f05000000040000000000000002a08601000900000000"
+            "000000000000000020ebe41d")
+      << "answer block";
+
+  SnapshotManifest manifest;
+  manifest.schema_fingerprint = 0xfeedface12345678ull;
+  manifest.segments = {{"seg-000000.bin", 30, 0xaaaa5555},
+                       {"seg-000001.bin", 12, 0x5555aaaa}};
+  manifest.sealed_answers = 42;
+  manifest.retracted_ids = {3, 17, 41};
+  std::string manifest_bytes;
+  EncodeManifest(manifest, &manifest_bytes);
+  EXPECT_EQ(testing::HexBytes(manifest_bytes),
+            "54434d460200000078563412cefaedfe2a00000000000000020000000e000000"
+            "7365672d3030303030302e62696e1e000000000000005555aaaa0e0000007365"
+            "672d3030303030312e62696e0c00000000000000aaaa55550300000003000000"
+            "0000000011000000000000002900000000000000b35a29f1")
+      << "manifest";
+
+  std::vector<Answer> batch = {
+      Cat(-1, 2, 0, 1), Cont(4, 0, 1, -0.0),
+      Cont(9, 1, 1, std::numeric_limits<double>::quiet_NaN())};
+  std::string journal;
+  EncodeJournalRecord(0x0102030405060708ull, batch.data(), batch.size(),
+                      &journal);
+  EXPECT_EQ(testing::HexBytes(journal),
+            "54434a520200000008070605040302010300000000000000ffffffff02000000"
+            "0000000000010000000400000000000000010000000100000000000000800900"
+            "0000010000000100000001000000000000f87fda7c97a2")
+      << "journal batch";
+
+  std::string retraction;
+  EncodeRetractionRecord(0x8000000000000001ull, &retraction);
+  EXPECT_EQ(testing::HexBytes(retraction),
+            "54434a58020000000100000000000080e50a7b26")
+      << "journal retraction";
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "data/byte_codec.h"
+
 namespace tcrowd::service {
 namespace {
 

@@ -9,9 +9,9 @@
 #      EM streaming -> finalize), so renaming or removing a stage forces a
 #      doc update;
 #   3. docs/PERSISTENCE.md must exist and keep naming every piece of the
-#      durability subsystem (codec, snapshot store, checkpoint hooks, the
-#      on-disk file names, the retraction records), so the recovery
-#      protocol doc cannot rot;
+#      durability subsystem (the shared byte format, codec, snapshot store,
+#      checkpoint hooks, the on-disk file names, the retraction records), so
+#      the recovery protocol doc cannot rot;
 #   4. docs/SCENARIOS.md must exist and keep naming the scenario
 #      subsystem's pieces (behavior/arrival interfaces, the runner, the
 #      registered scenario names, the curve CSV), so the scenario pack
@@ -21,13 +21,13 @@
 #      exposition, snapshot inspection, report JSON), so the
 #      record/replay and tracing doc cannot rot;
 #   6. docs/PROTOCOL.md must exist and keep naming the socket front-end's
-#      pieces (frame constants, decoders, message vocabulary, the
-#      backpressure knobs, RETRY_LATER semantics, the daemon/client
-#      tooling), so the wire-protocol doc cannot rot;
+#      pieces (the shared byte format, frame constants, decoders, message
+#      vocabulary, the backpressure knobs, RETRY_LATER semantics, the
+#      daemon/client tooling), so the wire-protocol doc cannot rot;
 #   7. docs/SHARDING.md must exist and keep naming the multi-shard
 #      serving tier's pieces (the router and partition map, namespace
-#      tags, the global arrival ledger, the delta wire format, the
-#      standby, the crash/restore drill), so the sharding doc cannot rot;
+#      tags, the global arrival ledger, LogGather log shipping and its byte
+#      format, the crash/restore drill), so the sharding doc cannot rot;
 #   8. README.md and docs/ARCHITECTURE.md must link the lifecycle,
 #      persistence, observability, protocol, and sharding docs, and
 #      README.md must link the scenarios doc.
@@ -89,7 +89,7 @@ if [ ! -f "$persistence" ]; then
 else
   # The durability subsystem's load-bearing names; each must stay
   # documented (codec + store APIs, engine hooks, on-disk file names).
-  for anchor in segment_codec SnapshotStore CheckpointArgs \
+  for anchor in byte_codec segment_codec SnapshotStore CheckpointArgs \
                 EncodeAnswerBlock SchemaFingerprint MANIFEST journal.bin \
                 restored_answers checkpoint_status crash-after \
                 EncodeRetractionRecord RetractAnswer \
@@ -147,12 +147,12 @@ if [ ! -f "$protocol" ]; then
   echo "check_docs.sh: $protocol is missing" >&2
   fail=1
 else
-  # The wire protocol's load-bearing names: frame constants, both
-  # decoders, every message kind, the backpressure machinery, and the
-  # tools that speak it.
-  for anchor in kFrameMagic kMaxFramePayload FrameDecoder \
+  # The wire protocol's load-bearing names: the shared byte format, frame
+  # constants, both decoders, every message kind, the backpressure
+  # machinery, and the tools that speak it.
+  for anchor in byte_codec kFrameMagic kMaxFramePayload FrameDecoder \
                 DecodeFrameStream Hello Lease SubmitBatch Retract Bye \
-                Finalize Stats ShardDelta LogGather ApplyLeases \
+                Finalize Stats LogGather ApplyLeases \
                 RETRY_LATER write_queue_high \
                 max_frames_per_wake inflight-budget \
                 answers_since_refresh RequestRefresh tcrowd_serverd \
@@ -173,12 +173,12 @@ if [ ! -f "$sharding" ]; then
 else
   # The multi-shard serving tier's load-bearing names: the router facade,
   # the partition map, the merge machinery that buys the bit-identity
-  # guarantee, the delta wire format, the standby, the failover drill,
-  # and the multi-process topology behind the ShardBackend seam.
+  # guarantee, LogGather log shipping and its byte format, the failover
+  # drill, and the multi-process topology behind the ShardBackend seam.
   for anchor in ShardRouter ShardRouterConfig PartitionRows \
                 namespace_tag NamespacedFingerprint shard-NNN \
-                kShardDelta ShardDeltaRequest PushDeltas delta_sink \
-                EncodeAnswerBlock StandbyReplica CrashShard RestoreShard \
+                LogGather byte_codec \
+                EncodeAnswerBlock CrashShard RestoreShard \
                 NegotiateProtocolVersion TruthDigest bench_shard \
                 --shards ShardBackend LocalShardBackend \
                 RemoteShardBackend LogGather --router --shard-index \

@@ -6,12 +6,11 @@
 # segment persistence (snapshot write/load throughput, crash-recovery
 # latency vs history size), the socket front-end (bench_net: loopback
 # TCNP round-trip p50/p99 for stats/lease/submit), and the multi-shard
-# serving tier (bench_shard: routed-ingest / merged-Finalize / delta-push
-# scaling over 1/2/4/8 shards, docs/SHARDING.md) — and snapshots their
-# JSON output into one
-# BENCH_baseline.json, so later optimizations have a fixed reference to
-# diff against (tools/diff_bench.py; the nightly bench workflow posts the
-# diff in its job summary).
+# serving tier (bench_shard: routed-ingest / merged-Finalize scaling over
+# 1/2/4/8 shards, in process and over sockets, docs/SHARDING.md) — and
+# snapshots their JSON output into one BENCH_baseline.json, so later
+# optimizations have a fixed reference to diff against (tools/diff_bench.py;
+# the nightly bench workflow posts the diff in its job summary).
 #
 # Usage:
 #   tools/run_bench.sh [OUT.json]          # default OUT: ./BENCH_baseline.json

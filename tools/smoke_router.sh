@@ -42,8 +42,13 @@ phase1_flags="$load_flags --arrivals=20"
 wait_port() { # <log> <pid>
   _tries=0
   while :; do
-    _port=$(sed -n \
-      's/^tcrowd_serverd listening on [^:]*:\([0-9][0-9]*\) .*/\1/p' "$1")
+    # The backgrounded redirect may not have created the log yet; a missing
+    # log just means "not yet".
+    _port=""
+    if [ -f "$1" ]; then
+      _port=$(sed -n \
+        's/^tcrowd_serverd listening on [^:]*:\([0-9][0-9]*\) .*/\1/p' "$1")
+    fi
     if [ -n "$_port" ]; then
       echo "$_port"
       return 0
@@ -51,7 +56,7 @@ wait_port() { # <log> <pid>
     _tries=$((_tries + 1))
     if [ "$_tries" -gt 100 ] || ! kill -0 "$2" 2>/dev/null; then
       echo "smoke_router.sh: daemon never printed its port ($1):" >&2
-      cat "$1" >&2
+      cat "$1" >&2 || true
       return 1
     fi
     sleep 0.1

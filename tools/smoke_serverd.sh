@@ -35,14 +35,18 @@ pid=$!
 port=""
 tries=0
 while [ -z "$port" ]; do
-  port=$(sed -n \
-    's/^tcrowd_serverd listening on [^:]*:\([0-9][0-9]*\) .*/\1/p' \
-    "$out/serverd.log")
+  # The backgrounded redirect may not have created the log yet; a missing
+  # log just means "not yet".
+  if [ -f "$out/serverd.log" ]; then
+    port=$(sed -n \
+      's/^tcrowd_serverd listening on [^:]*:\([0-9][0-9]*\) .*/\1/p' \
+      "$out/serverd.log")
+  fi
   [ -n "$port" ] && break
   tries=$((tries + 1))
   if [ "$tries" -gt 100 ] || ! kill -0 "$pid" 2>/dev/null; then
     echo "smoke_serverd.sh: daemon never printed its port:" >&2
-    cat "$out/serverd.log" >&2
+    cat "$out/serverd.log" >&2 || true
     kill "$pid" 2>/dev/null || true
     exit 1
   fi

@@ -16,8 +16,8 @@
 //                       daemon is re-adopted on the next request that
 //                       touches it (auto-restore).
 //
-// All roles share one event loop: single-threaded epoll (poll() under
-// --force-poll) multiplexing any number of client connections, with
+// All roles share one event loop: a single-threaded poll() loop
+// multiplexing any number of client connections, with
 // admission control tied to EM refresh staleness and bounded per-connection
 // write queues. The same listener answers `GET /metrics` with Prometheus
 // text.
@@ -87,7 +87,6 @@ int Usage() {
   --record=FILE       deterministic event log (replayable via tcrowd replay;
                       single-shard only)
   --checkpoint-dir=DIR durable answer log (shard daemons append /shard-NNN)
-  --force-poll        use the poll() event loop even where epoll exists
   --inflight-budget=N admission-control budget (0 = factor * staleness,
                       -1 = never shed; router mode defaults to -1, the
                       shard daemons meter their own admission)
@@ -282,7 +281,6 @@ int Main(int argc, const char* const* argv) {
   }
 
   net::ServerOptions server_opt;
-  server_opt.force_poll = flags.GetBool("force-poll", false);
   // Router role: the shard daemons meter their own admission; shedding at
   // the router too would double-count the same in-flight answers.
   server_opt.inflight_budget =
@@ -323,9 +321,8 @@ int Main(int argc, const char* const* argv) {
 
   // Scripts scrape this line for the kernel-assigned port — keep the format
   // stable and flush before blocking in the event loop.
-  std::printf("tcrowd_serverd listening on %s:%u (%s, budget %lld)\n",
+  std::printf("tcrowd_serverd listening on %s:%u (poll, budget %lld)\n",
               host.empty() ? "127.0.0.1" : host.c_str(), server.port(),
-              server_opt.force_poll ? "poll" : "epoll",
               static_cast<long long>(server.inflight_budget()));
   if (shard_mode && shard_count > 1) {
     std::printf("world %s: shard %d/%d (%d of %d rows), policy %s, "

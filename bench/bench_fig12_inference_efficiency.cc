@@ -26,16 +26,20 @@ void PrintConvergenceTrace() {
   sim::SynthesizerOptions opt;
   opt.seed = 12000;
   auto world = sim::SynthesizeDataset(sim::PaperDataset::kCelebrity, opt);
-  TCrowdOptions topt;
-  topt.max_em_iterations = 20;
   TCrowdState state =
-      TCrowdModel(topt).Fit(world.dataset.schema, world.dataset.answers);
+      TCrowdModel().Fit(world.dataset.schema, world.dataset.answers);
   std::printf("iteration  objective\n");
-  for (size_t i = 0; i < state.objective_trace.size(); ++i) {
+  for (size_t i = 0; i < state.objective_trace.size() && i < 20; ++i) {
     std::printf("%9zu  %.2f\n", i + 1, state.objective_trace[i]);
   }
   std::printf("(paper's shape: large jump in the first 2-3 iterations, flat "
-              "before iteration 20)\n\n");
+              "before iteration 20)\n");
+  std::printf("paper-faithful fit: %d iterations (%s), %d M-step passes, "
+              "%d step halvings\n\n",
+              state.em_iterations,
+              state.converged ? "stopped on tolerance"
+                              : "hit max_em_iterations",
+              state.mstep_passes, state.mstep_backtracks);
 }
 
 /// A synthetic world scaled so the answer count hits the requested size
@@ -58,13 +62,15 @@ std::unique_ptr<sim::SynthesizedWorld> WorldWithAnswers(int num_answers) {
 void BM_TruthInference(benchmark::State& state) {
   auto world = WorldWithAnswers(static_cast<int>(state.range(0)));
   TCrowdModel model;  // paper-faithful settings (tolerance 1e-5)
+  TCrowdState fit;
   for (auto _ : state) {
-    TCrowdState fit =
-        model.Fit(world->dataset.schema, world->dataset.answers);
+    fit = model.Fit(world->dataset.schema, world->dataset.answers);
     benchmark::DoNotOptimize(fit.em_iterations);
   }
   state.counters["answers"] =
       static_cast<double>(world->dataset.answers.size());
+  state.counters["em_iterations"] = fit.em_iterations;
+  state.counters["mstep_passes"] = fit.mstep_passes;
   state.counters["answers_per_sec"] = benchmark::Counter(
       static_cast<double>(world->dataset.answers.size()),
       benchmark::Counter::kIsIterationInvariantRate);

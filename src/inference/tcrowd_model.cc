@@ -9,7 +9,6 @@
 #include "inference/answer_segment.h"
 #include "inference/em_executor.h"
 #include "math/entropy.h"
-#include "math/gradient_ascent.h"
 #include "math/normal.h"
 #include "math/special_functions.h"
 #include "math/statistics.h"
@@ -447,12 +446,49 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
     }
   }
 
-  // Expected complete-data log-likelihood Q (paper Eq. 5) plus the MAP
-  // regularizers, with its gradient; posteriors are held fixed inside.
-  ExpParams mxp;  // exp tables for the optimizer's trial points
-  auto q_objective = [&](const std::vector<double>& p,
-                         std::vector<double>* grad) -> double {
-    std::fill(grad->begin(), grad->end(), 0.0);
+  // The M-step's log-parameter blocks in sweep order, each with its MAP
+  // prior N(prior_center, 1 / prior_precision). No answer touches two
+  // parameters of one block, so Q's Hessian within a block is diagonal and
+  // per-parameter Newton steps make up the block's full Newton step (ECM,
+  // Meng & Rubin 1993; one step per M-step as in Lange's EM-gradient
+  // algorithm, 1995). The difficulty blocks are mean-centered after every
+  // M-step, which fixes the alpha*beta*phi scale degeneracy; they step
+  // within their zero-mean subspace, so centering never takes back what a
+  // step gained.
+  struct Block {
+    int offset;
+    int size;
+    double prior_center;
+    double prior_precision;
+    bool centered;
+  };
+  std::vector<Block> blocks;
+  if (layout.num_workers > 0) {
+    blocks.push_back({layout.phi_offset(), layout.num_workers, log_phi0,
+                      inv_phi_var, false});
+  }
+  if (layout.with_alpha && layout.num_rows > 0) {
+    blocks.push_back(
+        {layout.alpha_offset(), layout.num_rows, 0.0, inv_diff_var, true});
+  }
+  if (layout.with_beta && layout.num_cols > 0) {
+    blocks.push_back(
+        {layout.beta_offset(), layout.num_cols, 0.0, inv_diff_var, true});
+  }
+
+  // One M-step pass: the expected complete-data log-likelihood Q (paper
+  // Eq. 5) plus the MAP regularizers at `p`, with posteriors held fixed.
+  // Fills `gh` = [g | h] (size 2P): g_k = dQ/dp_k and h_k, a non-negative
+  // curvature -d^2Q/dp_k^2 (exact for continuous answers and the priors,
+  // Gauss-Newton for categorical ones). Q sees an answer only through
+  // ln s = ln alpha_i + ln beta_j + ln phi_w, so both are sums of
+  // per-answer derivatives in ln s.
+  const size_t num_params = static_cast<size_t>(layout.size());
+  ExpParams mxp;  // exp tables for the pass's point
+  auto q_pass = [&](const std::vector<double>& p,
+                    std::vector<double>* gh) -> double {
+    ++state.mstep_passes;
+    gh->assign(2 * num_params, 0.0);
     mxp.Refresh(layout, p);
 
     // Per-answer accumulation in global answer-id order (segments streamed
@@ -460,6 +496,7 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
     // shard and a tree reduction.
     auto accumulate = [&](size_t lo, size_t hi, double* g_out,
                           double* val_out) {
+      double* h_out = g_out + num_params;
       size_t s = static_cast<size_t>(
                      std::upper_bound(snap.offsets.begin(),
                                       snap.offsets.end(), lo) -
@@ -486,6 +523,7 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
           const CellPosterior& post =
               state.posteriors[static_cast<size_t>(i) * state.num_cols + j];
           double g;  // d(term)/d(ln s)
+          double h;  // -d^2(term)/d(ln s)^2, or its Gauss-Newton stand-in
           if (a_continuous[idx]) {
             double z = a_number[idx];
             double t_mu = state.Standardize(j, post.mean);
@@ -494,7 +532,8 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
             double resid = (z - t_mu) * (z - t_mu) + t_var;
             *val_out +=
                 -0.5 * std::log(2.0 * M_PI * s_var) - resid / (2.0 * s_var);
-            g = -0.5 + resid / (2.0 * s_var);
+            h = resid / (2.0 * s_var);
+            g = -0.5 + h;
           } else {
             int L = col_labels[j];
             double x = eps / std::sqrt(2.0 * s_var);
@@ -508,79 +547,108 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
             // dq/d(ln s) = -(x / sqrt(pi)) * exp(-x^2).
             double dq_dlns = -(x / std::sqrt(M_PI)) * std::exp(-x * x);
             g = (p_match / q - (1.0 - p_match) / (1.0 - q)) * dq_dlns;
+            h = (p_match / (q * q) +
+                 (1.0 - p_match) / ((1.0 - q) * (1.0 - q))) *
+                dq_dlns * dq_dlns;
           }
-          if (layout.with_alpha) g_out[layout.alpha_offset() + i] += g;
-          if (layout.with_beta) g_out[layout.beta_offset() + j] += g;
+          if (layout.with_alpha) {
+            g_out[layout.alpha_offset() + i] += g;
+            h_out[layout.alpha_offset() + i] += h;
+          }
+          if (layout.with_beta) {
+            g_out[layout.beta_offset() + j] += g;
+            h_out[layout.beta_offset() + j] += h;
+          }
           g_out[layout.phi_offset() + w] += g;
+          h_out[layout.phi_offset() + w] += h;
         }
       }
     };
 
-    double q_val = executor->AccumulateSharded(num_answers, grad->size(),
-                                               accumulate, grad);
-    // MAP regularizers keep rarely-observed parameters near neutral.
-    if (layout.with_alpha) {
-      for (int i = 0; i < layout.num_rows; ++i) {
-        double v = p[layout.alpha_offset() + i];
-        q_val -= 0.5 * inv_diff_var * v * v;
-        (*grad)[layout.alpha_offset() + i] -= inv_diff_var * v;
+    double q_val = executor->AccumulateSharded(num_answers, gh->size(),
+                                               accumulate, gh);
+    // MAP regularizers keep rarely-observed parameters near neutral; their
+    // curvature keeps every h_k > 0.
+    for (const Block& b : blocks) {
+      for (int k = b.offset; k < b.offset + b.size; ++k) {
+        double v = p[k] - b.prior_center;
+        q_val -= 0.5 * b.prior_precision * v * v;
+        (*gh)[k] -= b.prior_precision * v;
+        (*gh)[num_params + k] += b.prior_precision;
       }
-    }
-    if (layout.with_beta) {
-      for (int j = 0; j < layout.num_cols; ++j) {
-        double v = p[layout.beta_offset() + j];
-        q_val -= 0.5 * inv_diff_var * v * v;
-        (*grad)[layout.beta_offset() + j] -= inv_diff_var * v;
-      }
-    }
-    for (int w = 0; w < layout.num_workers; ++w) {
-      double v = p[layout.phi_offset() + w] - log_phi0;
-      q_val -= 0.5 * inv_phi_var * v * v;
-      (*grad)[layout.phi_offset() + w] -= inv_phi_var * v;
     }
     return q_val;
   };
 
-  math::GradientAscentOptions ga;
-  ga.max_iterations = options_.mstep_iterations;
-  ga.initial_step = 0.1;
+  // Halvings of one block's step before the block keeps its old values.
+  constexpr int kMaxHalvings = 20;
+  // A relative fall in Q this small is summation round-off, not a fall.
+  constexpr double kQRoundoff = 1e-12;
 
+  std::vector<double> gh, trial_gh, old_block, step;
   std::vector<double> prev = params;
   for (int iter = 0; iter < options_.max_em_iterations; ++iter) {
     state.em_iterations = iter + 1;
 
-    // M-step: maximize Q over the log-parameters.
-    auto opt = math::MaximizeByGradientAscent(q_objective, params, ga);
-    params = std::move(opt.params);
+    // M-step: one Newton sweep over the blocks. Every pass after a block's
+    // step yields Q at the new point, plus the derivatives the next block
+    // steps with; a step that lowers Q is halved until it does not, so Q
+    // never falls (generalized EM).
+    double q = q_pass(params, &gh);
+    for (const Block& b : blocks) {
+      old_block.assign(params.begin() + b.offset,
+                       params.begin() + b.offset + b.size);
+      // Newton step g_k / h_k; on a centered block, (g_k - lambda) / h_k,
+      // whose multiplier lambda makes the steps sum to zero.
+      const double* g = gh.data() + b.offset;
+      const double* h = gh.data() + num_params + b.offset;
+      double lambda = 0.0;
+      if (b.centered) {
+        double g_over_h = 0.0, inv_h = 0.0;
+        for (int k = 0; k < b.size; ++k) {
+          g_over_h += g[k] / h[k];
+          inv_h += 1.0 / h[k];
+        }
+        lambda = g_over_h / inv_h;
+      }
+      step.resize(b.size);
+      for (int k = 0; k < b.size; ++k) {
+        step[k] = std::clamp((g[k] - lambda) / h[k], -1.0, 1.0);
+      }
+      for (int halvings = 0;; ++halvings) {
+        for (int k = 0; k < b.size; ++k) {
+          params[b.offset + k] = old_block[k] + step[k];
+        }
+        double q_new = q_pass(params, &trial_gh);
+        if (q_new >= q - kQRoundoff * std::fabs(q)) {
+          q = q_new;
+          gh.swap(trial_gh);
+          break;
+        }
+        if (halvings == kMaxHalvings) {
+          // Q never recovered: keep the old values, where gh still holds
+          // the derivatives.
+          std::copy(old_block.begin(), old_block.end(),
+                    params.begin() + b.offset);
+          break;
+        }
+        ++state.mstep_backtracks;
+        for (double& d : step) d *= 0.5;
+      }
+    }
 
     // Clamp and fix the alpha*beta*phi scale degeneracy: mean-center the
     // log-difficulty blocks, pushing the removed scale into phi.
     double bound = options_.log_param_bound;
     for (double& v : params) v = std::clamp(v, -bound, bound);
-    if (layout.with_alpha && layout.num_rows > 0) {
-      double mean_a = 0.0;
-      for (int i = 0; i < layout.num_rows; ++i) {
-        mean_a += params[layout.alpha_offset() + i];
-      }
-      mean_a /= layout.num_rows;
-      for (int i = 0; i < layout.num_rows; ++i) {
-        params[layout.alpha_offset() + i] -= mean_a;
-      }
+    for (const Block& b : blocks) {
+      if (!b.centered) continue;
+      double mean = 0.0;
+      for (int k = b.offset; k < b.offset + b.size; ++k) mean += params[k];
+      mean /= b.size;
+      for (int k = b.offset; k < b.offset + b.size; ++k) params[k] -= mean;
       for (int w = 0; w < layout.num_workers; ++w) {
-        params[layout.phi_offset() + w] += mean_a;
-      }
-    }
-    if (layout.with_beta && layout.num_cols > 0) {
-      double mean_b = 0.0;
-      for (int j = 0; j < layout.num_cols; ++j) {
-        mean_b += params[layout.beta_offset() + j];
-      }
-      mean_b /= layout.num_cols;
-      for (int j = 0; j < layout.num_cols; ++j) {
-        params[layout.beta_offset() + j] -= mean_b;
-      }
-      for (int w = 0; w < layout.num_workers; ++w) {
-        params[layout.phi_offset() + w] += mean_b;
+        params[layout.phi_offset() + w] += mean;
       }
     }
     for (double& v : params) v = std::clamp(v, -bound, bound);
@@ -596,6 +664,7 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
         std::fabs(state.objective_trace[n_trace - 1] -
                   state.objective_trace[n_trace - 2]) <
             options_.objective_tolerance) {
+      state.converged = true;
       break;
     }
 
@@ -605,7 +674,10 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
       max_delta = std::max(max_delta, std::fabs(params[k] - prev[k]));
     }
     prev = params;
-    if (max_delta < options_.param_tolerance) break;
+    if (max_delta < options_.param_tolerance) {
+      state.converged = true;
+      break;
+    }
   }
 
   // Export parameters.

@@ -20,13 +20,13 @@ struct TCrowdOptions {
   /// columns of different magnitude).
   double epsilon = 0.5;
 
-  /// Outer EM iterations (paper observes convergence in < 20).
+  /// Outer EM iterations. The paper reports convergence in < 20 on its
+  /// Celebrity data; the synthetic paper stand-ins stop on param_tolerance
+  /// after 24-43 (TCrowdState::converged tells which way a fit ended).
   int max_em_iterations = 50;
   /// EM stops when the max absolute change of any log-parameter between
   /// consecutive iterations drops below this (paper uses 1e-5).
   double param_tolerance = 1e-5;
-  /// Gradient-ascent iterations per M-step.
-  int mstep_iterations = 25;
 
   /// Whether to estimate per-row difficulties alpha_i / per-column
   /// difficulties beta_j (Section 4.2). Disabling both reduces the model to
@@ -73,7 +73,6 @@ struct TCrowdOptions {
   static TCrowdOptions Fast() {
     TCrowdOptions opt;
     opt.max_em_iterations = 12;
-    opt.mstep_iterations = 10;
     opt.param_tolerance = 1e-3;
     opt.objective_tolerance = 0.05;
     return opt;
@@ -107,6 +106,13 @@ struct TCrowdState {
 
   std::vector<double> objective_trace;  ///< observed-data log-likelihood.
   int em_iterations = 0;
+  /// True when a tolerance (param_tolerance or objective_tolerance) ended
+  /// EM, false when it ran into max_em_iterations.
+  bool converged = false;
+  /// M-step passes over the answers: (1 + estimated blocks) per EM
+  /// iteration, plus one per step halving (counted in mstep_backtracks).
+  int mstep_passes = 0;
+  int mstep_backtracks = 0;
   std::vector<bool> column_active;  ///< per-column mask.
 
   const CellPosterior& posterior(int row, int col) const;
@@ -130,8 +136,9 @@ struct TCrowdState {
 /// The paper's unified truth-inference method (Algorithm 1): a single
 /// quality parameter per worker explains both categorical correctness and
 /// continuous precision; row/column difficulties modulate it per cell; EM
-/// alternates truth posteriors (E) and gradient ascent on
-/// {alpha, beta, phi} (M).
+/// alternates truth posteriors (E) and a block-coordinate Newton sweep
+/// over the log-parameters phi, then alpha, then beta (M), each step
+/// halved until Q does not fall.
 class TCrowdModel : public TruthInference {
  public:
   explicit TCrowdModel(TCrowdOptions options = TCrowdOptions());

@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "inference/majority_voting.h"
 #include "math/statistics.h"
 #include "platform/metrics.h"
+#include "simulation/dataset_synthesizer.h"
 #include "test_helpers.h"
 
 namespace tcrowd {
@@ -30,16 +33,101 @@ TEST(TCrowdModel, RecoversTruthOnCleanData) {
   }
 }
 
-TEST(TCrowdModel, ObjectiveTraceIsNonDecreasing) {
-  testing::SimWorld w(801, 4);
-  TCrowdState state = TCrowdModel().Fit(w.world.schema, w.answers);
-  ASSERT_GE(state.objective_trace.size(), 2u);
+void ExpectNonDecreasingTrace(const TCrowdState& state,
+                              const std::string& label) {
+  ASSERT_GE(state.objective_trace.size(), 2u) << label;
   for (size_t i = 1; i < state.objective_trace.size(); ++i) {
     // EM guarantees a monotone MAP objective up to the post-M-step
-    // renormalization/clamping and line-search tolerance; allow small slack.
+    // renormalization/clamping and round-off; allow small slack.
     EXPECT_GE(state.objective_trace[i],
               state.objective_trace[i - 1] - 0.02)
-        << "iteration " << i;
+        << label << ", iteration " << i;
+  }
+}
+
+TEST(TCrowdModel, ObjectiveTraceIsNonDecreasing) {
+  testing::SimWorld w(801, 4);
+  TCrowdOptions no_difficulty;
+  no_difficulty.estimate_row_difficulty = false;
+  no_difficulty.estimate_col_difficulty = false;
+  ExpectNonDecreasingTrace(TCrowdModel().Fit(w.world.schema, w.answers),
+                           "default");
+  ExpectNonDecreasingTrace(
+      TCrowdModel(TCrowdOptions::Fast()).Fit(w.world.schema, w.answers),
+      "Fast");
+  ExpectNonDecreasingTrace(
+      TCrowdModel(no_difficulty).Fit(w.world.schema, w.answers),
+      "no difficulties");
+
+  // The fig-12 Celebrity world.
+  sim::SynthesizerOptions opt;
+  opt.seed = 12000;
+  auto celebrity =
+      sim::SynthesizeDataset(sim::PaperDataset::kCelebrity, opt);
+  const Schema& schema = celebrity.dataset.schema;
+  TCrowdState full = TCrowdModel().Fit(schema, celebrity.dataset.answers);
+  ExpectNonDecreasingTrace(full, "Celebrity");
+  EXPECT_TRUE(full.converged) << "Celebrity hit max_em_iterations";
+  ExpectNonDecreasingTrace(TCrowdModel::OnlyCategorical(schema).Fit(
+                               schema, celebrity.dataset.answers),
+                           "Celebrity TC-onlyCate");
+}
+
+TEST(TCrowdModel, MStepPassesStayWithinBudget) {
+  // One pass at the M-step's start, one after each block's step, and one
+  // per step halving.
+  testing::SimWorld w(811, 4);
+  TCrowdOptions no_difficulty;
+  no_difficulty.estimate_row_difficulty = false;
+  no_difficulty.estimate_col_difficulty = false;
+  for (const auto& [opt, blocks] :
+       {std::pair{TCrowdOptions(), 3}, std::pair{no_difficulty, 1}}) {
+    TCrowdState state = TCrowdModel(opt).Fit(w.world.schema, w.answers);
+    ASSERT_GT(state.em_iterations, 0);
+    EXPECT_GE(state.mstep_passes, (1 + blocks) * state.em_iterations)
+        << blocks << " blocks";
+    EXPECT_LE(state.mstep_passes,
+              (1 + blocks) * state.em_iterations + state.mstep_backtracks)
+        << blocks << " blocks";
+  }
+}
+
+TEST(TCrowdModel, BacktrackingFitStaysFiniteAndConverges) {
+  // A tiny categorical world with uniformly random-looking labels: 5 rows,
+  // 5 workers, 2 labels. Its worker-variance Newton steps overshoot, so
+  // the M-step has to halve them.
+  const int kLabels[5][5] = {{1, 0, 1, 0, 1},
+                             {1, 1, 0, 1, 1},
+                             {1, 0, 1, 0, 0},
+                             {1, 0, 0, 0, 1},
+                             {1, 1, 1, 1, 0}};
+  Schema schema({Schema::MakeCategorical("c", {"a", "b"})});
+  AnswerSet answers(5, 1);
+  for (int i = 0; i < 5; ++i) {
+    for (WorkerId w = 0; w < 5; ++w) {
+      answers.Add(w, CellRef{i, 0}, Value::Categorical(kLabels[i][w]));
+    }
+  }
+  TCrowdState state = TCrowdModel().Fit(schema, answers);
+  EXPECT_GT(state.mstep_backtracks, 0);
+  EXPECT_LE(state.mstep_passes,
+            4 * state.em_iterations + state.mstep_backtracks);
+  EXPECT_TRUE(state.converged);
+  ExpectNonDecreasingTrace(state, "tiny world");
+  for (double v : state.objective_trace) EXPECT_TRUE(std::isfinite(v));
+  for (const auto& [worker, phi] : state.worker_phi) {
+    EXPECT_TRUE(std::isfinite(phi) && phi > 0.0) << "worker " << worker;
+  }
+  for (double a : state.row_difficulty) {
+    EXPECT_TRUE(std::isfinite(a) && a > 0.0);
+  }
+  for (int i = 0; i < 5; ++i) {
+    double total = 0.0;
+    for (double p : state.posterior(i, 0).probs) {
+      EXPECT_TRUE(std::isfinite(p));
+      total += p;
+    }
+    EXPECT_NEAR(total, 1.0, 1e-9) << "row " << i;
   }
 }
 

@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "inference/answer_segment.h"
 #include "inference/em_executor.h"
-#include "math/entropy.h"
 #include "math/normal.h"
 #include "math/special_functions.h"
 #include "math/statistics.h"
@@ -17,7 +16,6 @@ namespace tcrowd {
 
 using math::ClampProb;
 using math::Erf;
-using math::SafeLog;
 
 namespace {
 
@@ -37,23 +35,12 @@ struct ParamLayout {
     return beta_offset() + (with_beta ? num_cols : 0);
   }
   int size() const { return phi_offset() + num_workers; }
-
-  double Alpha(const std::vector<double>& p, int i) const {
-    return with_alpha ? std::exp(p[alpha_offset() + i]) : 1.0;
-  }
-  double Beta(const std::vector<double>& p, int j) const {
-    return with_beta ? std::exp(p[beta_offset() + j]) : 1.0;
-  }
-  double Phi(const std::vector<double>& p, int w) const {
-    return std::exp(p[phi_offset() + w]);
-  }
 };
 
 /// Per-parameter exp(ln x) tables, refreshed once per pass instead of
-/// re-evaluating exp() for all three factors on every answer. Table entry k
-/// is exactly ParamLayout::Alpha/Beta/Phi(params, k), so every product
-/// alpha_i * beta_j * phi_w built from the tables is bit-identical to the
-/// historical per-answer computation.
+/// re-evaluating exp() for all three factors on every answer. A difficulty
+/// that is not estimated reads 1. After the EM loop the tables hold the
+/// fitted alpha, beta and phi themselves.
 struct ExpParams {
   std::vector<double> alpha, beta, phi;
 
@@ -175,18 +162,27 @@ namespace {
 /// cell, in segment order. Continuous posteriors are stored in original
 /// units. Rows are independent (disjoint writes), so the loop shards
 /// across the executor.
-void RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
-              const ExpParams& xp, EmExecutor* exec, TCrowdState* state) {
+///
+/// Returns the observed-data log-likelihood ln P(A | alpha, beta, phi),
+/// with each cell's latent truth marginalized out: the normalizers of the
+/// posteriors computed here (Dempster, Laird & Rubin 1977). Cells without
+/// answers contribute nothing. Rows are summed in row order, so the value
+/// does not depend on the executor's shard count.
+double RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
+                const ExpParams& xp, EmExecutor* exec, TCrowdState* state) {
   const double eps = state->options.epsilon;
   const double prior_var = state->options.prior_variance;
+  const double log_2pi = std::log(2.0 * M_PI);
   int rows = state->num_rows;
   int cols = state->num_cols;
+  std::vector<double> row_ll(static_cast<size_t>(rows), 0.0);
   auto process_row = [&](size_t row) {
     int i = static_cast<int>(row);
     // Reused across rows per worker thread: the E-step is the hottest loop,
     // so it must not pay a heap allocation per (row, iteration).
     static thread_local std::vector<SegRowCursor> cur;
     CollectRowCursors(snap, i, &cur);
+    double ll = 0.0;
     for (int j = 0; j < cols; ++j) {
       CellPosterior& post =
           state->posteriors[static_cast<size_t>(i) * cols + j];
@@ -198,6 +194,9 @@ void RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
         // N(0, prior_var) in standardized coordinates.
         double precision = 1.0 / prior_var;
         double weighted = 0.0;
+        double sum_log_s = 0.0;
+        double sum_z2_over_s = 0.0;
+        int n = 0;
         for (SegRowCursor& c : cur) {
           const int32_t* ccol = c.seg->cm_col();
           const int32_t* cworker = c.seg->cm_worker();
@@ -208,6 +207,9 @@ void RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
             double z = cnumber[c.pos];
             precision += 1.0 / s;
             weighted += z / s;
+            sum_log_s += std::log(s);
+            sum_z2_over_s += z * z / s;
+            ++n;
             ++c.pos;
           }
         }
@@ -217,9 +219,18 @@ void RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
         post.mean = state->Unstandardize(j, t_mu);
         post.variance = t_var * scale * scale;
         post.probs.clear();
+        // Closed-form Gaussian marginal of the n answers, with precision P
+        // and weighted sum W: -1/2 [n ln 2pi + sum ln s + ln(prior_var P)
+        // + sum z^2/s - W^2/P], where W^2/P = W * t_mu.
+        if (n > 0) {
+          ll -= 0.5 * (n * log_2pi + sum_log_s +
+                       std::log(prior_var * precision) + sum_z2_over_s -
+                       weighted * t_mu);
+        }
       } else {
         int L = col.num_labels();
         std::vector<double> log_p(L, 0.0);  // uniform prior cancels
+        bool answered = false;
         for (SegRowCursor& c : cur) {
           const int32_t* ccol = c.seg->cm_col();
           const int32_t* cworker = c.seg->cm_worker();
@@ -232,111 +243,22 @@ void RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
             for (int z = 0; z < L; ++z) {
               log_p[z] += (z == clabel[c.pos]) ? log_q : log_wrong;
             }
+            answered = true;
             ++c.pos;
           }
         }
-        math::SoftmaxInPlace(&log_p);
+        // The marginal puts the uniform prior 1/L back in.
+        double log_norm = math::SoftmaxInPlace(&log_p);
+        if (answered) ll += log_norm - std::log(static_cast<double>(L));
         post.probs = std::move(log_p);
       }
     }
+    row_ll[row] = ll;
   };
   exec->ParallelFor(static_cast<size_t>(rows), process_row);
-}
-
-/// Observed-data objective for the convergence trace (Fig. 12a):
-/// ln P(A | alpha, beta, phi) + ln Prior(alpha, beta, phi). Exact for both
-/// datatypes — the categorical latent label and the continuous latent truth
-/// are marginalized out. Including the MAP prior terms makes the trace the
-/// quantity EM provably never decreases.
-double ObservedLogLikelihood(const Schema& schema,
-                             const AnswerMatrixSnapshot& snap,
-                             const ParamLayout& layout, const ExpParams& xp,
-                             const std::vector<double>& params,
-                             const TCrowdState& state) {
-  const double eps = state.options.epsilon;
-  const double prior_var = state.options.prior_variance;
-  double ll = 0.0;
-  int rows = state.num_rows;
-  int cols = state.num_cols;
-  std::vector<SegRowCursor> cur;
-  cur.reserve(snap.segments.size());
-  for (int i = 0; i < rows; ++i) {
-    CollectRowCursors(snap, i, &cur);
-    for (int j = 0; j < cols; ++j) {
-      if (!state.column_active[j]) continue;
-      // Cells without answers contribute nothing (matches the historical
-      // flat-layout skip bit for bit).
-      bool has_answers = false;
-      for (const SegRowCursor& c : cur) {
-        if (c.pos < c.end && c.seg->cm_col()[c.pos] == j) {
-          has_answers = true;
-          break;
-        }
-      }
-      if (!has_answers) continue;
-      const ColumnSpec& col = schema.column(j);
-      if (col.type == ColumnType::kContinuous) {
-        // Sequential predictive decomposition of the Gaussian marginal.
-        math::Normal belief(0.0, prior_var);
-        for (SegRowCursor& c : cur) {
-          const int32_t* ccol = c.seg->cm_col();
-          const int32_t* cworker = c.seg->cm_worker();
-          const double* cnumber = c.seg->cm_number();
-          while (c.pos < c.end && ccol[c.pos] == j) {
-            double s = xp.alpha[i] * xp.beta[j] * xp.phi[cworker[c.pos]];
-            double z = cnumber[c.pos];
-            math::Normal predictive(belief.mean(), belief.variance() + s);
-            ll += predictive.LogPdf(z);
-            belief = belief.PosteriorGivenObservation(z, s);
-            ++c.pos;
-          }
-        }
-      } else {
-        int L = col.num_labels();
-        std::vector<double> log_p(L, -std::log(static_cast<double>(L)));
-        for (SegRowCursor& c : cur) {
-          const int32_t* ccol = c.seg->cm_col();
-          const int32_t* cworker = c.seg->cm_worker();
-          const int32_t* clabel = c.seg->cm_label();
-          while (c.pos < c.end && ccol[c.pos] == j) {
-            double s = xp.alpha[i] * xp.beta[j] * xp.phi[cworker[c.pos]];
-            double q = ClampProb(Erf(eps / std::sqrt(2.0 * s)));
-            double log_q = std::log(q);
-            double log_wrong = std::log((1.0 - q) / std::max(1, L - 1));
-            for (int z = 0; z < L; ++z) {
-              log_p[z] += (z == clabel[c.pos]) ? log_q : log_wrong;
-            }
-            ++c.pos;
-          }
-        }
-        ll += math::LogSumExp(log_p);
-      }
-    }
-  }
-  // MAP prior terms (without normalizing constants).
-  const TCrowdOptions& opt = state.options;
-  const double inv_dv = 1.0 / (opt.log_difficulty_prior_stddev *
-                               opt.log_difficulty_prior_stddev);
-  const double inv_pv =
-      1.0 / (opt.log_phi_prior_stddev * opt.log_phi_prior_stddev);
-  const double log_phi0 = std::log(opt.initial_phi);
-  if (layout.with_alpha) {
-    for (int i = 0; i < layout.num_rows; ++i) {
-      double v = params[layout.alpha_offset() + i];
-      ll -= 0.5 * inv_dv * v * v;
-    }
-  }
-  if (layout.with_beta) {
-    for (int j = 0; j < layout.num_cols; ++j) {
-      double v = params[layout.beta_offset() + j];
-      ll -= 0.5 * inv_dv * v * v;
-    }
-  }
-  for (int w = 0; w < layout.num_workers; ++w) {
-    double v = params[layout.phi_offset() + w] - log_phi0;
-    ll -= 0.5 * inv_pv * v * v;
-  }
-  return ll;
+  double total = 0.0;
+  for (double ll : row_ll) total += ll;
+  return total;
 }
 
 }  // namespace
@@ -388,8 +310,6 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   state.num_rows = snap.num_rows;
   state.num_cols = snap.num_cols;
   state.options = options_;
-  state.row_difficulty.assign(state.num_rows, 1.0);
-  state.col_difficulty.assign(state.num_cols, 1.0);
   state.col_center = snap.col_center;
   state.col_scale = snap.col_scale;
   state.posteriors.assign(
@@ -475,6 +395,17 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
     blocks.push_back(
         {layout.beta_offset(), layout.num_cols, 0.0, inv_diff_var, true});
   }
+  // Subtracts the blocks' MAP log-priors at `p` (without normalizing
+  // constants) from `*acc`, term by term.
+  auto subtract_log_prior = [&blocks](const std::vector<double>& p,
+                                      double* acc) {
+    for (const Block& b : blocks) {
+      for (int k = b.offset; k < b.offset + b.size; ++k) {
+        double v = p[k] - b.prior_center;
+        *acc -= 0.5 * b.prior_precision * v * v;
+      }
+    }
+  };
 
   // One M-step pass: the expected complete-data log-likelihood Q (paper
   // Eq. 5) plus the MAP regularizers at `p`, with posteriors held fixed.
@@ -569,10 +500,10 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
                                                accumulate, gh);
     // MAP regularizers keep rarely-observed parameters near neutral; their
     // curvature keeps every h_k > 0.
+    subtract_log_prior(p, &q_val);
     for (const Block& b : blocks) {
       for (int k = b.offset; k < b.offset + b.size; ++k) {
         double v = p[k] - b.prior_center;
-        q_val -= 0.5 * b.prior_precision * v * v;
         (*gh)[k] -= b.prior_precision * v;
         (*gh)[num_params + k] += b.prior_precision;
       }
@@ -653,12 +584,13 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
     }
     for (double& v : params) v = std::clamp(v, -bound, bound);
 
-    // E-step with the fresh parameters.
+    // E-step with the fresh parameters. Its log-likelihood plus the MAP
+    // prior terms is the quantity EM never decreases: the convergence
+    // trace of Fig. 12a.
     xp.Refresh(layout, params);
-    RunEStep(schema, snap, xp, executor, &state);
-
-    state.objective_trace.push_back(
-        ObservedLogLikelihood(schema, snap, layout, xp, params, state));
+    double objective = RunEStep(schema, snap, xp, executor, &state);
+    subtract_log_prior(params, &objective);
+    state.objective_trace.push_back(objective);
     size_t n_trace = state.objective_trace.size();
     if (options_.objective_tolerance > 0.0 && n_trace >= 2 &&
         std::fabs(state.objective_trace[n_trace - 1] -
@@ -680,20 +612,14 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
     }
   }
 
-  // Export parameters.
-  for (int i = 0; i < state.num_rows; ++i) {
-    state.row_difficulty[i] = layout.Alpha(params, i);
-  }
-  for (int j = 0; j < state.num_cols; ++j) {
-    state.col_difficulty[j] = layout.Beta(params, j);
-  }
-  std::vector<double> phis;
+  // Export parameters: every exit from the loop above leaves xp holding the
+  // exponentials of the final params.
+  state.row_difficulty = xp.alpha;
+  state.col_difficulty = xp.beta;
   for (int w = 0; w < layout.num_workers; ++w) {
-    double phi = layout.Phi(params, w);
-    state.worker_phi[snap.worker_ids[w]] = phi;
-    phis.push_back(phi);
+    state.worker_phi[snap.worker_ids[w]] = xp.phi[w];
   }
-  if (!phis.empty()) state.default_phi = math::Median(phis);
+  if (!xp.phi.empty()) state.default_phi = math::Median(xp.phi);
   return state;
 }
 

@@ -39,9 +39,9 @@ double LogSumExp(const std::vector<double>& v) {
   return mx + std::log(sum);
 }
 
-void SoftmaxInPlace(std::vector<double>* log_weights) {
-  if (log_weights->empty()) return;
+double SoftmaxInPlace(std::vector<double>* log_weights) {
   double lse = LogSumExp(*log_weights);
+  if (log_weights->empty()) return lse;
   double total = 0.0;
   for (double& x : *log_weights) {
     x = std::exp(x - lse);
@@ -51,9 +51,10 @@ void SoftmaxInPlace(std::vector<double>* log_weights) {
   if (!(total > 0.0) || !std::isfinite(total)) {
     double u = 1.0 / static_cast<double>(log_weights->size());
     for (double& x : *log_weights) x = u;
-    return;
+    return lse;
   }
   for (double& x : *log_weights) x /= total;
+  return lse;
 }
 
 double ChiSquareQuantile(double p, double df) {

@@ -30,8 +30,9 @@ double Sigmoid(double x);
 double LogSumExp(const std::vector<double>& v);
 
 /// Normalizes a vector of log-weights into a probability vector in place.
-/// Entries are exponentiated relative to the max to avoid overflow.
-void SoftmaxInPlace(std::vector<double>* log_weights);
+/// Entries are exponentiated relative to the max to avoid overflow. Returns
+/// the log-normalizer LogSumExp(log_weights) of the input.
+double SoftmaxInPlace(std::vector<double>* log_weights);
 
 /// Quantile (inverse CDF) of the chi-square distribution with `df` degrees
 /// of freedom at probability `p`, via the Wilson-Hilferty cube approximation.

@@ -173,8 +173,8 @@ struct SubmitBatchResponse {
   /// kRetryLater: the WHOLE batch was shed by admission control — nothing
   /// was booked, resend the identical batch after backing off.
   WireStatus status = WireStatus::kOk;
-  /// One StatusCode per submitted item, aligned with the request (empty
-  /// when the batch was shed).
+  /// One WireStatus byte per submitted item, aligned with the request
+  /// (empty when the batch was shed).
   std::vector<uint8_t> item_status;
 };
 

@@ -19,28 +19,6 @@ std::string ShardDirectory(const std::string& root, int shard) {
   return root + buf;
 }
 
-/// Rebuilds the Status a shard daemon encoded per item (the byte is a
-/// StatusCode, see net::SubmitBatchResponse::item_status).
-Status StatusFromCodeByte(uint8_t code) {
-  switch (static_cast<StatusCode>(code)) {
-    case StatusCode::kOk:
-      return Status::Ok();
-    case StatusCode::kInvalidArgument:
-      return Status::InvalidArgument("rejected by shard daemon");
-    case StatusCode::kNotFound:
-      return Status::NotFound("rejected by shard daemon");
-    case StatusCode::kOutOfRange:
-      return Status::OutOfRange("rejected by shard daemon");
-    case StatusCode::kFailedPrecondition:
-      return Status::FailedPrecondition("rejected by shard daemon");
-    case StatusCode::kInternal:
-      return Status::Internal("rejected by shard daemon");
-    case StatusCode::kIoError:
-      return Status::IoError("rejected by shard daemon");
-  }
-  return Status::Internal("shard daemon sent an unknown status code");
-}
-
 }  // namespace
 
 ServiceConfig DeriveShardServiceConfig(const ServiceConfig& base,
@@ -84,10 +62,12 @@ ServiceConfig DeriveShardServiceConfig(const ServiceConfig& base,
 }
 
 Status StatusFromWire(net::WireStatus status, const char* what) {
+  // Accepted items are the common case; they build no message.
+  if (status == net::WireStatus::kOk) return Status::Ok();
   std::string msg = std::string(what) + ": " + net::WireStatusName(status);
   switch (status) {
-    case net::WireStatus::kOk:
-      return Status::Ok();
+    case net::WireStatus::kOk:  // returned above
+      break;
     case net::WireStatus::kInvalidArgument:
       return Status::InvalidArgument(std::move(msg));
     case net::WireStatus::kNotFound:
@@ -102,6 +82,26 @@ Status StatusFromWire(net::WireStatus status, const char* what) {
       return Status::FailedPrecondition(std::move(msg));
   }
   return Status::Internal(std::move(msg));
+}
+
+ServiceStats ServiceStatsFromWire(const net::StatsResponse& resp) {
+  ServiceStats stats;
+  stats.tasks_open = static_cast<int>(resp.tasks_open);
+  stats.tasks_assigned = static_cast<int>(resp.tasks_assigned);
+  stats.tasks_answered = static_cast<int>(resp.tasks_answered);
+  stats.tasks_finalized = static_cast<int>(resp.tasks_finalized);
+  stats.sessions_started = static_cast<int64_t>(resp.sessions_started);
+  stats.sessions_active = static_cast<int64_t>(resp.sessions_active);
+  stats.sessions_expired = static_cast<int64_t>(resp.sessions_expired);
+  stats.answers_accepted = static_cast<int64_t>(resp.answers_accepted);
+  stats.answers_rejected = static_cast<int64_t>(resp.answers_rejected);
+  stats.answers_retracted = static_cast<int64_t>(resp.answers_retracted);
+  stats.answers_restored = static_cast<int64_t>(resp.answers_restored);
+  stats.assignments = static_cast<int64_t>(resp.assignments);
+  stats.budget_spent = resp.budget_spent;
+  stats.budget_remaining = resp.budget_remaining;
+  stats.engine_refreshes = static_cast<int>(resp.engine_refreshes);
+  return stats;
 }
 
 // ---------------------------------------------------------------------------
@@ -222,7 +222,9 @@ std::vector<Status> RemoteShardBackend::SubmitAnswerBatch(
   for (size_t i = 0; i < items.size(); ++i) {
     statuses.push_back(
         i < resp.item_status.size()
-            ? StatusFromCodeByte(resp.item_status[i])
+            ? StatusFromWire(
+                  static_cast<net::WireStatus>(resp.item_status[i]),
+                  "shard daemon item")
             : Status::Internal("shard daemon sent a short item-status list"));
   }
   return statuses;
@@ -271,25 +273,9 @@ bool RemoteShardBackend::Drained() {
 }
 
 ServiceStats RemoteShardBackend::Stats() {
-  ServiceStats stats;
   net::StatsResponse resp;
-  if (!FetchStats(&resp).ok()) return stats;
-  stats.tasks_open = static_cast<int>(resp.tasks_open);
-  stats.tasks_assigned = static_cast<int>(resp.tasks_assigned);
-  stats.tasks_answered = static_cast<int>(resp.tasks_answered);
-  stats.tasks_finalized = static_cast<int>(resp.tasks_finalized);
-  stats.sessions_started = static_cast<int64_t>(resp.sessions_started);
-  stats.sessions_active = static_cast<int64_t>(resp.sessions_active);
-  stats.sessions_expired = static_cast<int64_t>(resp.sessions_expired);
-  stats.answers_accepted = static_cast<int64_t>(resp.answers_accepted);
-  stats.answers_rejected = static_cast<int64_t>(resp.answers_rejected);
-  stats.answers_retracted = static_cast<int64_t>(resp.answers_retracted);
-  stats.answers_restored = static_cast<int64_t>(resp.answers_restored);
-  stats.assignments = static_cast<int64_t>(resp.assignments);
-  stats.budget_spent = resp.budget_spent;
-  stats.budget_remaining = resp.budget_remaining;
-  stats.engine_refreshes = static_cast<int>(resp.engine_refreshes);
-  return stats;
+  if (!FetchStats(&resp).ok()) return ServiceStats{};
+  return ServiceStatsFromWire(resp);
 }
 
 int64_t RemoteShardBackend::answers_since_refresh() {

@@ -8,18 +8,6 @@
 
 namespace tcrowd::service {
 
-const char* BackfillStrategyName(BackfillStrategy strategy) {
-  switch (strategy) {
-    case BackfillStrategy::kNone:
-      return "none";
-    case BackfillStrategy::kLeastAnswered:
-      return "least-answered";
-    case BackfillStrategy::kRandom:
-      return "random";
-  }
-  return "?";
-}
-
 TaskRouter::TaskRouter(std::unique_ptr<AssignmentPolicy> policy,
                        RouterOptions options)
     : policy_(std::move(policy)),
@@ -72,13 +60,11 @@ void TaskRouter::Backfill(const AnswerSet& answers, WorkerId worker, int k,
   std::vector<CellRef> candidates = CandidateCells(answers, worker, exclude);
   if (candidates.empty()) return;
   rng_.Shuffle(&candidates);  // random tie-break among equals
-  if (options_.backfill == BackfillStrategy::kLeastAnswered) {
-    std::stable_sort(candidates.begin(), candidates.end(),
-                     [&answers](const CellRef& a, const CellRef& b) {
-                       return answers.CellAnswerCount(a.row, a.col) <
-                              answers.CellAnswerCount(b.row, b.col);
-                     });
-  }
+  std::stable_sort(candidates.begin(), candidates.end(),
+                   [&answers](const CellRef& a, const CellRef& b) {
+                     return answers.CellAnswerCount(a.row, a.col) <
+                            answers.CellAnswerCount(b.row, b.col);
+                   });
   for (const CellRef& cell : candidates) {
     if (static_cast<int>(picked->size()) >= k) break;
     picked->push_back(cell);

@@ -16,10 +16,7 @@ namespace tcrowd::service {
 enum class BackfillStrategy {
   kNone,           ///< Hand back fewer tasks (possibly zero).
   kLeastAnswered,  ///< Top up with the least-answered assignable cells.
-  kRandom,         ///< Top up with uniformly random assignable cells.
 };
-
-const char* BackfillStrategyName(BackfillStrategy strategy);
 
 struct RouterOptions {
   BackfillStrategy backfill = BackfillStrategy::kLeastAnswered;
@@ -65,8 +62,8 @@ class TaskRouter {
   int64_t backfilled() const { return backfilled_; }
 
  private:
-  /// Backfill candidates: assignable cells the worker has not answered,
-  /// ordered per the strategy.
+  /// Tops `picked` up to `k` with the least-answered assignable cells the
+  /// worker has not answered.
   void Backfill(const AnswerSet& answers, WorkerId worker, int k,
                 const std::vector<CellRef>& unavailable,
                 std::vector<CellRef>* picked);

@@ -78,10 +78,10 @@ class CrowdSimulator {
   /// worker, row) instead of being drawn lazily from the shared stream, and
   /// the fresh noise comes from the caller's `rng`. Two calls with the same
   /// arguments and rng state produce the same answer no matter what ran in
-  /// between — the property the deterministic LoadGenerator mode and the
-  /// scenario runner are built on. `noise_boost` multiplies the worker's
-  /// variance phi (> 1 degrades quality; used by drifting/sleeper
-  /// behaviors). Const and stateless: safe from concurrent threads.
+  /// between — the property LoadGenerator and the scenario runner are
+  /// built on. `noise_boost` multiplies the worker's variance phi (> 1
+  /// degrades quality; used by drifting/sleeper behaviors). Const and
+  /// stateless: safe from concurrent threads.
   Value AnswerWith(WorkerId u, CellRef cell, Rng* rng,
                    double noise_boost = 1.0) const;
 

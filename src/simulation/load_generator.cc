@@ -11,6 +11,7 @@
 #include "inference/segment_codec.h"
 #include "net/client.h"
 #include "net/socket_util.h"
+#include "service/shard_backend.h"
 
 namespace tcrowd::sim {
 
@@ -57,9 +58,9 @@ void LoadGenerator::RunSocket(LoadReport* report) {
   const uint64_t local_fingerprint =
       SchemaFingerprint(crowd_->schema(), crowd_->truth().num_rows());
 
-  // Mirrors RunArrivalDeterministic frame for frame: same (seed, index)
-  // streams, same order-independent simulator calls, same per-arrival call
-  // shape (Hello ≡ StartSession, Lease ≡ RequestTasks, SubmitBatch pages,
+  // Mirrors RunArrival frame for frame: same (seed, index) streams, same
+  // order-independent simulator calls, same per-arrival call shape
+  // (Hello ≡ StartSession, Lease ≡ RequestTasks, SubmitBatch pages,
   // Bye ≡ EndSession) — the server's single-threaded loop then books the
   // identical history the in-process run would have.
   bool drained = false;
@@ -152,35 +153,10 @@ void LoadGenerator::RunSocket(LoadReport* report) {
     report->socket_status = st;
     return;
   }
-  report->final_stats.tasks_open = static_cast<int>(stats.tasks_open);
-  report->final_stats.tasks_assigned =
-      static_cast<int>(stats.tasks_assigned);
-  report->final_stats.tasks_answered =
-      static_cast<int>(stats.tasks_answered);
-  report->final_stats.tasks_finalized =
-      static_cast<int>(stats.tasks_finalized);
-  report->final_stats.sessions_started =
-      static_cast<int64_t>(stats.sessions_started);
-  report->final_stats.sessions_active =
-      static_cast<int64_t>(stats.sessions_active);
-  report->final_stats.sessions_expired =
-      static_cast<int64_t>(stats.sessions_expired);
-  report->final_stats.answers_accepted =
-      static_cast<int64_t>(stats.answers_accepted);
-  report->final_stats.answers_rejected =
-      static_cast<int64_t>(stats.answers_rejected);
-  report->final_stats.answers_retracted =
-      static_cast<int64_t>(stats.answers_retracted);
-  report->final_stats.answers_restored =
-      static_cast<int64_t>(stats.answers_restored);
-  report->final_stats.assignments = static_cast<int64_t>(stats.assignments);
-  report->final_stats.budget_spent = stats.budget_spent;
-  report->final_stats.budget_remaining = stats.budget_remaining;
-  report->final_stats.engine_refreshes =
-      static_cast<int>(stats.engine_refreshes);
+  report->final_stats = service::ServiceStatsFromWire(stats);
 }
 
-bool LoadGenerator::RunArrivalDeterministic(LoadReport* report) {
+bool LoadGenerator::RunArrival(LoadReport* report) {
   // The whole arrival runs under the generator lock, in arrival order, with
   // a stream derived from (seed, arrival index) and only order-independent
   // simulator calls — so the replayed history is a pure function of the
@@ -252,85 +228,6 @@ bool LoadGenerator::RunArrivalDeterministic(LoadReport* report) {
   return true;
 }
 
-void LoadGenerator::DriveLoop(uint64_t seed, LoadReport* report) {
-  if (options_.deterministic) {
-    while (RunArrivalDeterministic(report)) {
-    }
-    return;
-  }
-  Rng rng(seed);
-  while (true) {
-    if (StopRequested()) return;
-    WorkerId worker;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (arrivals_issued_ >= options_.max_arrivals) return;
-      if (service_->Drained()) return;
-      ++arrivals_issued_;
-      worker = crowd_->NextWorker();
-    }
-    ++report->arrivals;
-
-    service::ServingBackend::SessionId session = service_->StartSession(worker);
-    std::vector<CellRef> tasks =
-        service_->RequestTasks(session, options_.tasks_per_request);
-    report->assignments += static_cast<int64_t>(tasks.size());
-
-    bool abandons = !tasks.empty() && rng.Bernoulli(options_.abandon_prob);
-    if (abandons) {
-      ++report->abandoned_sessions;
-    } else if (options_.batch_size > 1) {
-      // Batch replay: answer the whole lease page from the generative
-      // model, then submit it in batch_size chunks through the service's
-      // batched ingestion path.
-      std::vector<std::pair<CellRef, Value>> items;
-      items.reserve(tasks.size());
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        for (const CellRef& cell : tasks) {
-          items.emplace_back(cell, crowd_->Answer(worker, cell));
-        }
-      }
-      for (size_t lo = 0; lo < items.size();
-           lo += static_cast<size_t>(options_.batch_size)) {
-        size_t hi = std::min(items.size(),
-                             lo + static_cast<size_t>(options_.batch_size));
-        std::vector<std::pair<CellRef, Value>> page(items.begin() + lo,
-                                                    items.begin() + hi);
-        std::vector<Status> statuses =
-            service_->SubmitAnswerBatch(session, page);
-        ++report->batches;
-        for (const Status& st : statuses) {
-          if (st.ok()) {
-            ++report->answers;
-            answers_accepted_.fetch_add(1, std::memory_order_relaxed);
-          } else {
-            ++report->rejected;
-          }
-        }
-        if (StopRequested()) break;  // "crash": drop the unanswered leases
-      }
-    } else {
-      for (const CellRef& cell : tasks) {
-        Value value;
-        {
-          std::lock_guard<std::mutex> lock(mu_);
-          value = crowd_->Answer(worker, cell);
-        }
-        Status st = service_->SubmitAnswer(session, cell, value);
-        if (st.ok()) {
-          ++report->answers;
-          answers_accepted_.fetch_add(1, std::memory_order_relaxed);
-        } else {
-          ++report->rejected;
-        }
-        if (StopRequested()) break;  // "crash": drop the unanswered leases
-      }
-    }
-    service_->EndSession(session);
-  }
-}
-
 LoadReport LoadGenerator::Run() {
   LoadReport report;
   auto start = std::chrono::steady_clock::now();
@@ -353,14 +250,15 @@ LoadReport LoadGenerator::Run() {
   int n = options_.num_driver_threads;
   std::vector<LoadReport> partials(n);
   if (n == 1) {
-    DriveLoop(options_.seed, &partials[0]);
+    while (RunArrival(&partials[0])) {
+    }
   } else {
     std::vector<std::thread> drivers;
     drivers.reserve(n);
     for (int t = 0; t < n; ++t) {
       drivers.emplace_back([this, t, &partials] {
-        DriveLoop(options_.seed + 0x9e3779b97f4a7c15ull * (t + 1),
-                  &partials[t]);
+        while (RunArrival(&partials[t])) {
+        }
       });
     }
     for (std::thread& d : drivers) d.join();

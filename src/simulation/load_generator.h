@@ -27,7 +27,12 @@ struct LoadGeneratorOptions {
   /// lock + one engine ingest pass per page); <= 1 replays per answer via
   /// SubmitAnswer.
   int batch_size = 1;
-  /// Concurrent driver threads replaying arrivals against the service.
+  /// Concurrent driver threads replaying arrivals against the service. Each
+  /// whole arrival — session open, leases, answers, close — runs serialized
+  /// in arrival order, driven by a session stream derived from (seed,
+  /// arrival index) and the simulator's order-independent AnswerWith()
+  /// path, so the replayed history (and the finalized truths) is
+  /// bit-identical for ANY num_driver_threads.
   int num_driver_threads = 1;
   /// Kill/restart replay mode: > 0 stops the run (all driver threads) once
   /// this many answers were accepted, leaving the service mid-flight — the
@@ -35,16 +40,6 @@ struct LoadGeneratorOptions {
   /// restarted service gets a FRESH generator that drives the remainder.
   /// <= 0 runs to drain as usual.
   int64_t stop_after_answers = 0;
-  /// Deterministic replay (default): each whole arrival — session open,
-  /// leases, answers, close — runs serialized in arrival order, driven by a
-  /// session stream derived from (seed, arrival index) and the simulator's
-  /// order-independent AnswerWith() path, so the replayed history (and the
-  /// finalized truths) is bit-identical for ANY num_driver_threads. False
-  /// restores the racy mode where driver threads interleave service calls
-  /// freely (per-thread streams, shared lazy simulator draws) — the
-  /// contention-realistic setting for throughput measurements, at the cost
-  /// of run-to-run variation.
-  bool deterministic = true;
   uint64_t seed = 7;
   /// Socket-driving mode: non-empty ("HOST:PORT") drives a remote
   /// tcrowd_serverd over the binary protocol (docs/PROTOCOL.md) instead of
@@ -53,9 +48,9 @@ struct LoadGeneratorOptions {
   /// derived from (seed, arrival index) — round-robined across
   /// `num_connections` open connections by ONE driver thread, so the
   /// server-observed call sequence (and therefore its event log) is a pure
-  /// function of the options, exactly like the in-process deterministic
-  /// mode. RETRY_LATER sheds are absorbed by the client's identical
-  /// resends and never change the accepted history.
+  /// function of the options, exactly like the in-process mode. RETRY_LATER
+  /// sheds are absorbed by the client's identical resends and never change
+  /// the accepted history.
   std::string connect;
   /// Concurrent protocol connections in socket mode.
   int num_connections = 4;
@@ -103,15 +98,13 @@ class LoadGenerator {
   LoadReport Run();
 
  private:
-  /// One driver thread's loop; shares the arrival budget with its peers.
-  void DriveLoop(uint64_t seed, LoadReport* report);
   /// The socket-mode driver: serialized deterministic arrivals round-robin
   /// over options_.num_connections protocol connections.
   void RunSocket(LoadReport* report);
-  /// One whole arrival under the generator lock (deterministic mode):
-  /// `session_rng` is the arrival's derived stream. Returns false when the
-  /// run is over (arrival budget exhausted or service drained).
-  bool RunArrivalDeterministic(LoadReport* report);
+  /// One whole arrival under the generator lock, on the arrival's derived
+  /// stream. Returns false when the run is over (arrival budget exhausted
+  /// or service drained).
+  bool RunArrival(LoadReport* report);
   /// True once the accepted-answer total hit stop_after_answers.
   bool StopRequested() const {
     return options_.stop_after_answers > 0 &&

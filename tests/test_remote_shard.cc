@@ -7,10 +7,11 @@
 //
 // Covered: the merged-Finalize digest over sockets is bit-identical to a
 // single in-process run (swept over 1/2/4 shard daemons, retractions
-// included); a daemon dying mid-lease fast-fails with the CrashShard
-// semantics; a daemon restarted from its own snapshot directory rejoins
-// through auto_restore on the next touch; and the fingerprint handshake
-// refuses a daemon serving the wrong sub-table.
+// included); per-item rejections keep their status code across the wire;
+// a daemon dying mid-lease fast-fails with the CrashShard semantics; a
+// daemon restarted from its own snapshot directory rejoins through
+// auto_restore on the next touch; and the fingerprint handshake refuses a
+// daemon serving the wrong sub-table.
 
 #include "service/shard_backend.h"
 
@@ -254,6 +255,44 @@ TEST(RemoteShard, MergedFinalizeOverSocketsMatchesInProcess) {
     EXPECT_EQ(stats.answers_retracted,
               static_cast<int64_t>(retractions.size()));
   }
+}
+
+// ---------------------------------------------------------------------------
+// Per-item rejections keep their code across the wire: the shard daemon
+// encodes each SubmitBatch verdict as a WireStatus byte, and the router must
+// surface the code an in-process service returns for the same item.
+
+TEST(RemoteShard, ItemRejectionsKeepTheirStatusCode) {
+  SimWorld world(41, /*answers_per_task=*/0);
+  const Schema& schema = world.world.schema;
+  int rows = world.world.truth.num_rows();
+  bool categorical = schema.column(0).type == ColumnType::kCategorical;
+  Value fits = categorical ? Value::Categorical(0) : Value::Continuous(1.0);
+  Value wrong_type =
+      categorical ? Value::Continuous(1.0) : Value::Categorical(0);
+
+  // {submit without a lease, submit of the wrong value type}.
+  auto rejections = [&](ServingBackend* backend) {
+    ServingBackend::SessionId session = backend->StartSession(1);
+    CellRef leased{0, 0};
+    EXPECT_TRUE(backend->ApplyRecordedLeases(session, {leased}).ok());
+    return std::make_pair(
+        backend->SubmitAnswer(session, CellRef{rows - 1, 0}, fits).code(),
+        backend->SubmitAnswer(session, leased, wrong_type).code());
+  };
+
+  CrowdService single(schema, rows, std::make_unique<LoopingPolicy>(),
+                      BaseConfig());
+  auto want = rejections(&single);
+  EXPECT_EQ(want.first, StatusCode::kFailedPrecondition);
+  EXPECT_EQ(want.second, StatusCode::kInvalidArgument);
+
+  RemoteTopology topology(schema, rows, /*num_shards=*/2);
+  auto got = rejections(&topology.router());
+  EXPECT_STREQ(StatusCodeName(got.first), StatusCodeName(want.first))
+      << "submit without a lease";
+  EXPECT_STREQ(StatusCodeName(got.second), StatusCodeName(want.second))
+      << "wrong value type";
 }
 
 // ---------------------------------------------------------------------------

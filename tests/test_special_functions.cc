@@ -73,6 +73,12 @@ TEST(Softmax, NormalizesAndOrdersCorrectly) {
   EXPECT_LT(v[1], v[2]);
 }
 
+TEST(Softmax, ReturnsTheLogNormalizer) {
+  std::vector<double> v = {1.0, 2.0, 3.0};
+  double want = LogSumExp(v);
+  EXPECT_EQ(SoftmaxInPlace(&v), want);
+}
+
 TEST(Softmax, HandlesExtremeLogits) {
   std::vector<double> v = {-10000.0, 0.0};
   SoftmaxInPlace(&v);

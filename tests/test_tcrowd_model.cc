@@ -6,8 +6,12 @@
 #include <cmath>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "inference/em_executor.h"
 #include "inference/majority_voting.h"
+#include "math/normal.h"
+#include "math/special_functions.h"
 #include "math/statistics.h"
 #include "platform/metrics.h"
 #include "simulation/dataset_synthesizer.h"
@@ -71,6 +75,84 @@ TEST(TCrowdModel, ObjectiveTraceIsNonDecreasing) {
   ExpectNonDecreasingTrace(TCrowdModel::OnlyCategorical(schema).Fit(
                                schema, celebrity.dataset.answers),
                            "Celebrity TC-onlyCate");
+}
+
+/// The MAP objective at the fitted parameters, recomputed from the state
+/// and the raw answers the slow way: each categorical truth is summed out
+/// label by label, each continuous truth by the sequential predictive
+/// decomposition of its Gaussian marginal over the standardized answers.
+double ReferenceObjective(const TCrowdState& state, const AnswerSet& answers) {
+  const TCrowdOptions& opt = state.options;
+  double ll = 0.0;
+  for (int i = 0; i < state.num_rows; ++i) {
+    for (int j = 0; j < state.num_cols; ++j) {
+      const std::vector<int>& ids = answers.AnswersForCell(i, j);
+      if (!state.column_active[j] || ids.empty()) continue;
+      const ColumnSpec& col = state.schema.column(j);
+      if (col.type == ColumnType::kContinuous) {
+        math::Normal belief(0.0, opt.prior_variance);
+        for (int id : ids) {
+          const Answer& a = answers.answer(id);
+          double s = state.AnswerVarianceStd(a.worker, i, j);
+          double z = state.Standardize(j, a.value.number());
+          ll += math::Normal(belief.mean(), belief.variance() + s).LogPdf(z);
+          belief = belief.PosteriorGivenObservation(z, s);
+        }
+      } else {
+        int L = col.num_labels();
+        std::vector<double> log_p(L, -std::log(static_cast<double>(L)));
+        for (int id : ids) {
+          const Answer& a = answers.answer(id);
+          double q = state.CategoricalQuality(a.worker, i, j);
+          for (int z = 0; z < L; ++z) {
+            log_p[z] += z == a.value.label() ? std::log(q)
+                                             : std::log((1.0 - q) / (L - 1));
+          }
+        }
+        ll += math::LogSumExp(log_p);
+      }
+    }
+  }
+  double inv_dv = 1.0 / (opt.log_difficulty_prior_stddev *
+                         opt.log_difficulty_prior_stddev);
+  double inv_pv = 1.0 / (opt.log_phi_prior_stddev * opt.log_phi_prior_stddev);
+  if (opt.estimate_row_difficulty) {
+    for (double alpha : state.row_difficulty) {
+      ll -= 0.5 * inv_dv * std::log(alpha) * std::log(alpha);
+    }
+  }
+  if (opt.estimate_col_difficulty) {
+    for (double beta : state.col_difficulty) {
+      ll -= 0.5 * inv_dv * std::log(beta) * std::log(beta);
+    }
+  }
+  for (const auto& [worker, phi] : state.worker_phi) {
+    double v = std::log(phi) - std::log(opt.initial_phi);
+    ll -= 0.5 * inv_pv * v * v;
+  }
+  return ll;
+}
+
+TEST(TCrowdModel, ObjectiveTraceEndsAtTheObservedMapObjective) {
+  testing::SimWorld w(812, 4);
+  const Schema& schema = w.world.schema;
+  auto expect_final_entry = [&](const TCrowdState& state,
+                                const std::string& label) {
+    ASSERT_FALSE(state.objective_trace.empty()) << label;
+    double want = ReferenceObjective(state, w.answers);
+    EXPECT_NEAR(state.objective_trace.back(), want, 1e-9 * std::fabs(want))
+        << label;
+  };
+  expect_final_entry(TCrowdModel().Fit(schema, w.answers), "default");
+  expect_final_entry(
+      TCrowdModel::OnlyCategorical(schema).Fit(schema, w.answers),
+      "TC-onlyCate");
+  expect_final_entry(
+      TCrowdModel::OnlyContinuous(schema).Fit(schema, w.answers),
+      "TC-onlyCont");
+  EmExecutor three(3);
+  expect_final_entry(TCrowdModel().Fit(schema, w.answers, &three),
+                     "3-shard executor");
 }
 
 TEST(TCrowdModel, MStepPassesStayWithinBudget) {

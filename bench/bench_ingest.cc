@@ -3,7 +3,7 @@
 // (a) Engine ingestion: per-answer SubmitAnswer vs batched
 //     SubmitAnswerBatch through the IncrementalInferenceEngine's ingest
 //     queue (refreshes disabled, so the numbers isolate the ingest path:
-//     queue -> drain -> tail segment + per-cell Bayes bookkeeping).
+//     queue -> drain -> tail segment + per-cell retraction bookkeeping).
 // (b) Layout maintenance: the historical rebuild-the-whole-matrix-per-
 //     refresh cost vs the segmented store's seal-only-the-tail cost, swept
 //     over total answer counts. The claim under test is that

@@ -39,19 +39,16 @@ Status FlagParser::Parse(int argc, const char* const* argv) {
 }
 
 bool FlagParser::Has(const std::string& name) const {
-  queried_[name] = true;
   return flags_.count(name) > 0;
 }
 
 std::string FlagParser::GetString(const std::string& name,
                                   const std::string& fallback) const {
-  queried_[name] = true;
   auto it = flags_.find(name);
   return it != flags_.end() ? it->second : fallback;
 }
 
 int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
-  queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   auto parsed = ParseInt(it->second);
@@ -59,7 +56,6 @@ int64_t FlagParser::GetInt(const std::string& name, int64_t fallback) const {
 }
 
 double FlagParser::GetDouble(const std::string& name, double fallback) const {
-  queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   auto parsed = ParseDouble(it->second);
@@ -67,7 +63,6 @@ double FlagParser::GetDouble(const std::string& name, double fallback) const {
 }
 
 bool FlagParser::GetBool(const std::string& name, bool fallback) const {
-  queried_[name] = true;
   auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;
   const std::string& v = it->second;
@@ -76,12 +71,15 @@ bool FlagParser::GetBool(const std::string& name, bool fallback) const {
   return fallback;
 }
 
-std::vector<std::string> FlagParser::UnqueriedFlags() const {
-  std::vector<std::string> out;
+Status FlagParser::CheckVocabulary(
+    const std::vector<std::string>& vocabulary) const {
   for (const auto& [name, value] : flags_) {
-    if (!queried_.count(name)) out.push_back(name);
+    if (std::find(vocabulary.begin(), vocabulary.end(), name) ==
+        vocabulary.end()) {
+      return Status::InvalidArgument("unknown flag --" + name);
+    }
   }
-  return out;
+  return Status::Ok();
 }
 
 }  // namespace tcrowd

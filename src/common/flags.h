@@ -33,14 +33,14 @@ class FlagParser {
 
   const std::vector<std::string>& positional() const { return positional_; }
 
-  /// Names of flags the caller never queried — useful for catching typos.
-  /// (Tracked per Get*/Has call.)
-  std::vector<std::string> UnqueriedFlags() const;
+  /// InvalidArgument naming the first given flag (in name order) that is
+  /// not in `vocabulary`, so a misspelt or retired flag fails instead of
+  /// silently changing nothing; OK when every given flag is known.
+  Status CheckVocabulary(const std::vector<std::string>& vocabulary) const;
 
  private:
   std::map<std::string, std::string> flags_;
   std::vector<std::string> positional_;
-  mutable std::map<std::string, bool> queried_;
 };
 
 }  // namespace tcrowd

@@ -12,15 +12,13 @@ namespace tcrowd {
 
 /// Persistent sharded execution substrate for the T-Crowd EM.
 ///
-/// Before this class existed, every TCrowdModel::Fit spawned (and joined)
-/// its own ThreadPool, and the M-step merged per-slice gradient buffers
-/// serially — so an online service refreshing its model dozens of times per
-/// second paid thread start-up and a serial reduction on every refresh. An
-/// EmExecutor instead:
+/// Every sharded TCrowdModel::Fit runs on one: a fit without a caller's
+/// executor builds a transient one sized to options().num_threads (the
+/// engine's Finalize, the assignment policies' refits), and a caller may
+/// hand the same executor to several fits in turn. An EmExecutor:
 ///
-///  - owns one long-lived common::ThreadPool, reused across fits (the
-///    service's IncrementalInferenceEngine keeps a single executor for its
-///    whole lifetime);
+///  - owns one long-lived common::ThreadPool, reused across the fits it
+///    is handed;
 ///  - partitions the item space (tuples for the E-step, answers for the
 ///    M-step) into `num_shards` contiguous shards once per call shape;
 ///  - keeps per-shard accumulator scratch alive across iterations and
@@ -42,7 +40,7 @@ namespace tcrowd {
 ///
 /// Thread-safety: an EmExecutor serializes nothing internally; it is meant
 /// to be driven by ONE fit at a time. Concurrent Fit calls must use
-/// separate executors (the engine guarantees this by coalescing refreshes).
+/// separate executors.
 class EmExecutor {
  public:
   /// Answer counts below this run the sharded accumulation serially even

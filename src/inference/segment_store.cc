@@ -179,13 +179,11 @@ void SegmentedAnswerStore::ScrubTombstones() {
   stats_.pending_tombstones = 0;
 }
 
-AnswerMatrixSnapshot SegmentedAnswerStore::SealAndSnapshot(
-    bool force_compact) {
+AnswerMatrixSnapshot SegmentedAnswerStore::SealAndSnapshot() {
   int pending = static_cast<int>(pending_tombstones_.size());
   int segments_if_sealed =
       static_cast<int>(sealed_.size()) + (tail_.empty() ? 0 : 1);
   bool compact =
-      force_compact ||
       (pending > 0 && pending >= options_.tombstone_compact_threshold) ||
       (options_.max_sealed_segments > 0 && !epoch_unset() &&
        segments_if_sealed > options_.max_sealed_segments) ||
@@ -233,29 +231,6 @@ AnswerMatrixSnapshot SegmentedAnswerStore::SealAndSnapshot(
   snap.col_center = col_center_;
   snap.col_scale = col_scale_;
   return snap;
-}
-
-std::vector<Answer> SegmentedAnswerStore::CopyAnswersSince(
-    size_t since) const {
-  std::vector<Answer> out;
-  if (since >= size()) return out;
-  out.reserve(size() - since);
-  size_t offset = 0;
-  for (const auto& seg : sealed_) {
-    size_t seg_end = offset + seg->size();
-    if (seg_end > since) {
-      for (size_t k = since > offset ? since - offset : 0; k < seg->size();
-           ++k) {
-        out.push_back(seg->ReconstructAnswer(k));
-      }
-    }
-    offset = seg_end;
-  }
-  for (size_t k = since > offset ? since - offset : 0; k < tail_.size();
-       ++k) {
-    out.push_back(tail_[k]);
-  }
-  return out;
 }
 
 AnswerSet SegmentedAnswerStore::MaterializeAnswerSet() const {

@@ -35,8 +35,7 @@ namespace tcrowd {
 /// Compaction merges everything into one segment, recomputes the
 /// first-appearance worker registry and the standardization epoch from the
 /// surviving answers — after it, the store's epoch is exactly what a batch
-/// TCrowdModel would compute over the same answers, which is how
-/// Finalize() stays bit-identical to the batch model.
+/// TCrowdModel would compute over the same answers.
 ///
 /// Ownership/thread-safety: the store owns the tail and the segment list;
 /// sealed segments are shared (shared_ptr) with outstanding snapshots, so
@@ -102,23 +101,19 @@ class SegmentedAnswerStore {
   void Tombstone(size_t global_id);
 
   /// Seals the tail into a new immutable segment (no-op on an empty tail),
-  /// applies pending tombstones, compacts if a threshold is crossed (or
-  /// `force_compact`), and returns the snapshot for a fit. O(K log K) in
-  /// the tail size on the reuse path.
-  AnswerMatrixSnapshot SealAndSnapshot(bool force_compact = false);
+  /// applies pending tombstones, compacts if a threshold is crossed, and
+  /// returns the snapshot for a fit. O(K log K) in the tail size on the
+  /// reuse path.
+  AnswerMatrixSnapshot SealAndSnapshot();
 
   /// Live answers on one cell; O(1).
   int CellAnswerCount(int row, int col) const {
     return cell_counts_[static_cast<size_t>(row) * num_cols_ + col];
   }
 
-  /// Reconstructs the answers with global ids in [since, size()); O(K).
-  /// The engine uses this to replay the tail of answers a refresh did not
-  /// snapshot.
-  std::vector<Answer> CopyAnswersSince(size_t since) const;
-
   /// Full export of the LIVE answers (pending tombstones excluded) as a
-  /// plain AnswerSet; O(total). Test/export path only.
+  /// plain AnswerSet, in chronological order; O(total). What the engine's
+  /// Finalize() fits.
   AnswerSet MaterializeAnswerSet() const;
 
   const Stats& stats() const { return stats_; }

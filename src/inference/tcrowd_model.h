@@ -151,19 +151,17 @@ class TCrowdModel : public TruthInference {
   /// EmExecutor when options().num_threads > 1 (serial otherwise).
   TCrowdState Fit(const Schema& schema, const AnswerSet& answers) const;
 
-  /// Full fit on a caller-provided persistent executor (the online serving
-  /// path: the IncrementalInferenceEngine keeps one executor across
-  /// refreshes so no fit ever spawns threads). The executor's shard count
-  /// overrides options().num_threads; pass nullptr for the transient
-  /// behavior of the two-argument overload. Blocks until converged; the
-  /// executor must not be driven by another fit concurrently.
+  /// Full fit on a caller-provided persistent executor, so repeated fits
+  /// never spawn threads. The executor's shard count overrides
+  /// options().num_threads; pass nullptr for the transient behavior of the
+  /// two-argument overload. Blocks until converged; the executor must not
+  /// be driven by another fit concurrently.
   TCrowdState Fit(const Schema& schema, const AnswerSet& answers,
                   EmExecutor* executor) const;
 
-  /// Full fit streaming a segmented answer snapshot (the online serving
-  /// path: the engine's SegmentedAnswerStore seals a segment per refresh
-  /// and hands over segment pointers instead of copying the matrix). The
-  /// EM visits every answer in the same order as the flat batch path, so a
+  /// Full fit streaming a segmented answer snapshot (a
+  /// SegmentedAnswerStore's segment pointers instead of a copied matrix).
+  /// The EM visits every answer in the same order as the flat batch path, so a
   /// fit over N segments is bit-identical to a fit over one segment holding
   /// the same answers. The snapshot's standardization epoch and column mask
   /// are used as-is; the mask must match this model's options. Blocks until
@@ -172,8 +170,8 @@ class TCrowdModel : public TruthInference {
                   EmExecutor* executor) const;
 
   /// Per-column participation mask implied by options().column_mask (all
-  /// columns when the mask is empty). The engine builds its answer store
-  /// with this so sealed segments agree with the model's masking.
+  /// columns when the mask is empty). A snapshot fit needs segments sealed
+  /// under this mask.
   std::vector<bool> ActiveColumns(int num_cols) const;
 
   /// Converts a fitted state to the plain result interface.

@@ -218,10 +218,11 @@ bool Server::Dispatch(Connection* conn, const Frame& frame) {
         return false;
       }
       SubmitBatchResponse out;
-      // Admission control: while EM refresh lags ingest past the in-flight
-      // budget, shed the WHOLE batch before the service sees it. Nothing
-      // is booked, so the client's identical resend keeps the accepted
-      // history — and therefore the finalized truths — unchanged.
+      // Admission control: while the engine's refresh (seal + checkpoint)
+      // lags ingest past the in-flight budget, shed the WHOLE batch before
+      // the service sees it; the meter is read lock-free. Nothing is
+      // booked, so the client's identical resend keeps the accepted history
+      // — and therefore the finalized truths — unchanged.
       if (inflight_budget_ >= 0 &&
           service_->answers_since_refresh() >= inflight_budget_) {
         out.status = WireStatus::kRetryLater;

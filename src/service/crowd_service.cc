@@ -94,8 +94,8 @@ CrowdService::CrowdService(const Schema& schema, int num_rows,
     }
     answers_restored_->Increment(static_cast<int64_t>(recovered.size()));
     answers_accepted_->Increment(static_cast<int64_t>(recovered.size()));
-    // Bring estimates back online without blocking startup (async mode
-    // runs the fit on the service pool).
+    // Seal and checkpoint the restored journal tail without blocking
+    // startup (async mode runs the refresh on the service pool).
     engine_->RequestRefresh();
   }
   TCROWD_TRACE(kService, kInfo, "service up", tasks_.size(),
@@ -372,7 +372,7 @@ Status CrowdService::SubmitAnswer(SessionId session, CellRef cell,
     if (!st.ok()) return st;
   }
   // The engine queues the answer under its own ingest lock and may kick off
-  // an async EM refresh; no service state is touched past this point.
+  // an async refresh; no service state is touched past this point.
   engine_->SubmitAnswer(answer);
   return Status::Ok();
 }

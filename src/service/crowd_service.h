@@ -40,7 +40,9 @@ struct ServiceConfig {
   /// Outstanding leases count against the budget (committed accounting), so
   /// the service never hands out work it cannot pay for.
   int64_t max_total_answers = -1;
-  /// Threads of the service-owned pool running background EM refreshes.
+  /// Threads of the service-owned pool running background engine
+  /// refreshes (seal + checkpoint). The engine's default Finalize fit
+  /// shards across the same count (MakeServingConfig sets num_shards).
   int num_threads = 2;
   /// Lease deadline: a session with no activity (StartSession /
   /// RequestTasks / SubmitAnswer) for longer than this is expired — its
@@ -141,7 +143,7 @@ class ServingBackend {
   virtual int num_rows() const = 0;
 
   /// Admission-control meters (net::Server backpressure): answers absorbed
-  /// since the last inference refresh (the laggiest shard in a sharded
+  /// since the last engine refresh (the laggiest shard in a sharded
   /// backend), an explicit refresh request that clears the meter, the total
   /// absorbed answer count, and the staleness threshold the in-flight
   /// budget is derived from.
@@ -168,8 +170,9 @@ class ServingBackend {
 ///
 /// Thread-safety: all public methods may be called from concurrent driver
 /// threads. Request handling is serialized on one service mutex (policies
-/// are stateful); truth-inference refreshes run asynchronously on the
-/// service's own common::ThreadPool and never block the request path.
+/// are stateful); engine refreshes (seal + checkpoint) run asynchronously
+/// on the service's own common::ThreadPool and never block the request
+/// path.
 class CrowdService : public ServingBackend {
  public:
   using SessionId = ServingBackend::SessionId;
@@ -194,7 +197,7 @@ class CrowdService : public ServingBackend {
 
   /// Accepts one answer for a cell the session holds a lease on. Rejects
   /// answers without a lease, with a mismatched value type, or an
-  /// out-of-range label. Never blocks on an EM refresh in the default
+  /// out-of-range label. Never blocks on an engine refresh in the default
   /// async configuration (refreshes run on the service's own pool); with
   /// inference.async_refresh = false the staleness-crossing call runs the
   /// refresh inline.
@@ -210,7 +213,7 @@ class CrowdService : public ServingBackend {
   /// calling SubmitAnswer once per item, in item order — a duplicate cell
   /// within the batch consumes the lease with its first occurrence and is
   /// rejected on the second. Returns one Status per item, aligned with the
-  /// input. Never blocks on an EM refresh in async mode.
+  /// input. Never blocks on an engine refresh in async mode.
   std::vector<Status> SubmitAnswerBatch(
       SessionId session,
       const std::vector<std::pair<CellRef, Value>>& items) override;
@@ -284,8 +287,8 @@ class CrowdService : public ServingBackend {
     return config_.inference.staleness_threshold;
   }
 
-  /// Waits out pending refreshes and returns the final batch-converged
-  /// truth inference over everything collected. Blocks for a full EM fit;
+  /// Runs the configured batch method over everything collected (the
+  /// engine's Finalize) and records the digest. Blocks for the fit;
   /// concurrent submits keep being accepted but are not part of the
   /// returned result's snapshot.
   InferenceResult Finalize() override;

@@ -1,13 +1,10 @@
 #include "service/incremental_engine.h"
 
 #include <algorithm>
-#include <exception>
 #include <utility>
 
-#include "assignment/policies.h"
 #include "common/logging.h"
 #include "common/string_util.h"
-#include "inference/answer_segment.h"
 #include "inference/catd.h"
 #include "inference/crh.h"
 #include "inference/dawid_skene.h"
@@ -28,32 +25,11 @@ InferenceArgs Normalize(InferenceArgs args) {
   args.num_shards = std::max(1, args.num_shards);
   args.min_answers_for_fit = std::max(1, args.min_answers_for_fit);
   args.ingest_batch_size = std::max(1, args.ingest_batch_size);
-  // The refresh EM shards its E/M steps across the engine's persistent
-  // executor; num_threads records the effective shard count so a batch
-  // TCrowdModel run with these options reproduces the refresh bit-for-bit.
+  // num_threads records the effective shard count of the Finalize fit, so
+  // a batch TCrowdModel run with these options reproduces it bit-for-bit.
   args.tcrowd_options.num_threads =
       std::max(args.tcrowd_options.num_threads, args.num_shards);
   return args;
-}
-
-/// Column mask the engine's store seals segments under: the model's mask
-/// for the T-Crowd variants (so sealed segments agree with the fit), all
-/// columns for baseline methods (they index the full log).
-std::vector<bool> StoreActiveColumns(const Schema& schema,
-                                     const InferenceArgs& args) {
-  int cols = schema.num_columns();
-  if (!IncrementalInferenceEngine::IsTCrowdMethod(args.method)) {
-    return std::vector<bool>(cols, true);
-  }
-  if (args.method == "tc-onlycate") {
-    return TCrowdModel::OnlyCategorical(schema, args.tcrowd_options)
-        .ActiveColumns(cols);
-  }
-  if (args.method == "tc-onlycont") {
-    return TCrowdModel::OnlyContinuous(schema, args.tcrowd_options)
-        .ActiveColumns(cols);
-  }
-  return TCrowdModel(args.tcrowd_options).ActiveColumns(cols);
 }
 
 }  // namespace
@@ -66,11 +42,11 @@ IncrementalInferenceEngine::IncrementalInferenceEngine(const Schema& schema,
       num_rows_(num_rows),
       args_(Normalize(std::move(args))),
       pool_(pool),
-      executor_(
-          std::make_unique<EmExecutor>(args_.tcrowd_options.num_threads)),
-      store_(schema, num_rows, StoreActiveColumns(schema, args_),
-             args_.store),
-      tcrowd_path_(IsTCrowdMethod(args_.method)) {
+      method_(BatchMethod(schema, args_)),
+      store_(schema, num_rows, std::vector<bool>(schema.num_columns(), true),
+             args_.store) {
+  TCROWD_CHECK(method_ != nullptr)
+      << "unknown inference method " << args_.method;
   TCROWD_CHECK(num_rows_ > 0);
   TCROWD_CHECK(schema_.num_columns() > 0);
   cell_live_.resize(static_cast<size_t>(num_rows_) * schema_.num_columns());
@@ -139,10 +115,10 @@ void IncrementalInferenceEngine::RestoreFromCheckpoint() {
   // only changes in-memory layout, never the chronological log). Journal
   // answers stay in the tail, exactly as they were before the crash.
   // Durably retracted answers are filtered out while replaying: the store
-  // holds live answers only, and a force-compacting Finalize() then sees
-  // the exact chronological live sequence the uninterrupted run would —
-  // which is what keeps restore-then-Finalize bit-identical even when the
-  // crash fell between a retraction and the seal that folds it.
+  // holds live answers only, and Finalize() then materializes the exact
+  // chronological live sequence the uninterrupted run would — which is
+  // what keeps restore-then-Finalize bit-identical even when the crash
+  // fell between a retraction and the seal that folds it.
   const std::vector<uint64_t>& dead = log.retracted_ids;  // sorted, deduped
   auto is_dead = [&dead](size_t id) {
     return std::binary_search(dead.begin(), dead.end(),
@@ -185,24 +161,21 @@ IncrementalInferenceEngine::~IncrementalInferenceEngine() {
   refresh_done_.wait(lock, [this] { return !refresh_in_flight_; });
 }
 
-bool IncrementalInferenceEngine::IsTCrowdMethod(const std::string& method) {
-  return method == "tcrowd" || method == "tc-onlycate" ||
-         method == "tc-onlycont";
-}
-
-TCrowdModel IncrementalInferenceEngine::MakeTCrowdModel() const {
-  if (args_.method == "tc-onlycate") {
-    return TCrowdModel::OnlyCategorical(schema_, args_.tcrowd_options);
+std::unique_ptr<TruthInference> IncrementalInferenceEngine::BatchMethod(
+    const Schema& schema, const InferenceArgs& args) {
+  TCrowdOptions options = args.tcrowd_options;
+  options.num_threads =
+      std::max(options.num_threads, std::max(1, args.num_shards));
+  const std::string& m = args.method;
+  if (m == "tcrowd") return std::make_unique<TCrowdModel>(options);
+  if (m == "tc-onlycate") {
+    return std::make_unique<TCrowdModel>(
+        TCrowdModel::OnlyCategorical(schema, options));
   }
-  if (args_.method == "tc-onlycont") {
-    return TCrowdModel::OnlyContinuous(schema_, args_.tcrowd_options);
+  if (m == "tc-onlycont") {
+    return std::make_unique<TCrowdModel>(
+        TCrowdModel::OnlyContinuous(schema, options));
   }
-  return TCrowdModel(args_.tcrowd_options);
-}
-
-std::unique_ptr<TruthInference> IncrementalInferenceEngine::MakeBatchMethod()
-    const {
-  const std::string& m = args_.method;
   if (m == "mv") return std::make_unique<MajorityVoting>();
   if (m == "median") return std::make_unique<MedianInference>();
   if (m == "ds") return std::make_unique<DawidSkene>();
@@ -211,23 +184,20 @@ std::unique_ptr<TruthInference> IncrementalInferenceEngine::MakeBatchMethod()
   if (m == "gtm") return std::make_unique<Gtm>();
   if (m == "crh") return std::make_unique<Crh>();
   if (m == "catd") return std::make_unique<Catd>();
-  return std::make_unique<TCrowdModel>(MakeTCrowdModel());
+  return nullptr;
 }
 
-void IncrementalInferenceEngine::DrainIngestLocked(bool apply_updates) {
+void IncrementalInferenceEngine::DrainIngestLocked() {
   std::vector<Answer> batch;
   {
     std::lock_guard<std::mutex> lock(ingest_mu_);
     batch.swap(ingest_);
   }
   if (batch.empty()) return;
-  // One pass: append to the store's tail segment and apply the incremental
-  // posterior updates, under a single acquisition of the engine mutex.
-  // `apply_updates` is false only when the caller is about to replace
-  // state_ and replay the tail anyway (the refresh install path) — applying
-  // here too would pay every Bayes update twice.
-  // Journal records are tagged with LOG ids, not store ids: retractions
-  // may have renumbered the store, but the durable log is append-only.
+  // One pass: append to the store's tail segment under a single
+  // acquisition of the engine mutex. Journal records are tagged with LOG
+  // ids, not store ids: retractions may have renumbered the store, but the
+  // durable log is append-only.
   size_t base = log_size_;
   for (const Answer& answer : batch) {
     store_.Append(answer);
@@ -235,13 +205,9 @@ void IncrementalInferenceEngine::DrainIngestLocked(bool apply_updates) {
                answer.cell.col]
         .push_back(CellLogEntry{log_size_, answer.worker});
     ++log_size_;
-    ++answers_since_refresh_;
-    if (apply_updates && fitted_ && tcrowd_path_) {
-      ApplyIncrementalAnswer(answer, &state_);
-    }
   }
-  absorbed_since_refresh_.store(answers_since_refresh_,
-                                std::memory_order_relaxed);
+  answers_since_refresh_.fetch_add(static_cast<int>(batch.size()),
+                                   std::memory_order_relaxed);
   if (snapshot_ != nullptr) {
     unsealed_log_.insert(unsealed_log_.end(), batch.begin(), batch.end());
     // Durability boundary: once the journal append returns, everything
@@ -253,41 +219,35 @@ void IncrementalInferenceEngine::DrainIngestLocked(bool apply_updates) {
 }
 
 bool IncrementalInferenceEngine::StaleLocked() const {
-  return answers_since_refresh_ >= args_.staleness_threshold ||
-         (!fitted_ && static_cast<int>(store_.size()) >=
-                          args_.min_answers_for_fit);
+  return answers_since_refresh() >= args_.staleness_threshold ||
+         (refresh_count() == 0 &&
+          static_cast<int>(store_.size()) >= args_.min_answers_for_fit);
 }
 
-void IncrementalInferenceEngine::ScheduleRefreshLocked(bool* run_inline) {
+void IncrementalInferenceEngine::ScheduleRefreshLocked() {
   if (shutdown_ ||
       static_cast<int>(store_.size()) < args_.min_answers_for_fit) {
     return;
   }
   if (refresh_in_flight_) {
-    // Coalesce: the running refresh will loop exactly once more.
+    // Coalesce: the queued refresh will run exactly once more.
     refresh_pending_ = true;
     return;
   }
-  refresh_in_flight_ = true;
-  answers_since_refresh_ = 0;
-  absorbed_since_refresh_.store(0, std::memory_order_relaxed);
+  answers_since_refresh_.store(0, std::memory_order_relaxed);
   if (pool_ != nullptr && args_.async_refresh) {
-    if (!pool_->Submit([this] { RunRefresh(); })) *run_inline = true;
-  } else {
-    *run_inline = true;
+    refresh_in_flight_ = true;
+    if (pool_->Submit([this] { RunRefresh(); })) return;
+    refresh_in_flight_ = false;
   }
+  SealLocked();
+  refresh_count_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void IncrementalInferenceEngine::DrainAndMaybeRefresh() {
-  bool run_inline = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DrainIngestLocked();
-    if (StaleLocked() && !refresh_in_flight_) {
-      ScheduleRefreshLocked(&run_inline);
-    }
-  }
-  if (run_inline) RunRefresh();
+  std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
+  if (StaleLocked() && !refresh_in_flight_) ScheduleRefreshLocked();
 }
 
 void IncrementalInferenceEngine::SubmitAnswer(const Answer& answer) {
@@ -317,116 +277,48 @@ void IncrementalInferenceEngine::SubmitAnswerBatch(const Answer* answers,
   // cadence identical.
   bool drain =
       queued >= static_cast<size_t>(args_.ingest_batch_size) ||
-      absorbed_since_refresh_.load(std::memory_order_relaxed) +
-              static_cast<int>(queued) >=
+      answers_since_refresh() + static_cast<int>(queued) >=
           args_.staleness_threshold ||
-      (!fitted_flag_.load(std::memory_order_relaxed) &&
+      (refresh_count() == 0 &&
        total >= static_cast<size_t>(args_.min_answers_for_fit));
   if (drain) DrainAndMaybeRefresh();
 }
 
 void IncrementalInferenceEngine::RequestRefresh() {
-  bool run_inline = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    DrainIngestLocked();
-    ScheduleRefreshLocked(&run_inline);
-  }
-  if (run_inline) RunRefresh();
+  std::lock_guard<std::mutex> lock(mu_);
+  DrainIngestLocked();
+  ScheduleRefreshLocked();
+}
+
+void IncrementalInferenceEngine::SealLocked() {
+  DrainIngestLocked();
+  // Seal the tail (O(new answers)); every previously sealed segment is
+  // reused as is.
+  size_t sealed = store_.SealAndSnapshot().num_answers();
+  AbsorbAppliedTombstonesLocked();
+  // Checkpoint-on-seal: the newly sealed slice goes to disk exactly once,
+  // while it is still O(answers since the last refresh).
+  PersistSealedLocked();
+  TCROWD_TRACE(kSeal, kInfo, "refresh seal", sealed,
+               static_cast<uint64_t>(refresh_count()));
+  if (args_.recorder != nullptr) args_.recorder->RecordSeal(sealed);
 }
 
 void IncrementalInferenceEngine::RunRefresh() {
-  while (true) {
-    AnswerMatrixSnapshot snapshot;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (shutdown_) {
-        refresh_in_flight_ = false;
-        refresh_done_.notify_all();
-        return;
-      }
-      DrainIngestLocked();
-      // Snapshot-free refresh: seal the tail (O(new answers)) and take
-      // segment POINTERS — no answer is copied, and every previously
-      // sealed segment's runs / SoA views / worker index are reused.
-      snapshot = store_.SealAndSnapshot();
-      snapshot_size_ = snapshot.num_answers();
-      AbsorbAppliedTombstonesLocked();
-      // Checkpoint-on-seal: the newly sealed slice goes to disk exactly
-      // once, while it is still O(answers since the last refresh).
-      PersistSealedLocked();
-      TCROWD_TRACE(kSeal, kInfo, "refresh seal", snapshot_size_,
-                   static_cast<uint64_t>(refresh_count_));
-      if (args_.recorder != nullptr) {
-        args_.recorder->RecordSeal(snapshot_size_);
-      }
-    }
-    TCROWD_TRACE(kEngine, kInfo, "refresh fit start", snapshot_size_,
-                 static_cast<uint64_t>(tcrowd_path_ ? 1 : 0));
-
-    // The expensive part runs without the lock: submits keep flowing while
-    // the EM re-converges over the immutable segments, on the persistent
-    // executor.
-    TCrowdState fresh_state;
-    InferenceResult fresh_result;
-    bool fit_ok = true;
-    try {
-      if (tcrowd_path_) {
-        fresh_state =
-            MakeTCrowdModel().Fit(schema_, snapshot, executor_.get());
-      } else {
-        // Baseline methods consume plain AnswerSets; materializing from the
-        // immutable snapshot needs no lock. O(total), but confined to the
-        // periodic-batch-refit path by design.
-        AnswerSet snap_set = MaterializeAnswerSet(snapshot);
-        fresh_result = MakeBatchMethod()->Infer(schema_, snap_set);
-      }
-    } catch (const std::exception& e) {
-      // A failed refresh must never wedge the engine: keep serving the last
-      // installed state and let a later submit schedule the next attempt.
-      TCROWD_LOG(Warning) << "inference refresh failed: " << e.what();
-      fit_ok = false;
-    }
-
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      // On a successful install the queued answers are replayed onto the
-      // fresh state below — skip the redundant apply to the outgoing one.
-      DrainIngestLocked(/*apply_updates=*/!fit_ok);
-      if (fit_ok) {
-        if (tcrowd_path_) {
-          state_ = std::move(fresh_state);
-          // Answers that arrived during the fit are replayed incrementally
-          // so the installed state reflects every submitted answer.
-          for (const Answer& answer :
-               store_.CopyAnswersSince(snapshot_size_)) {
-            ApplyIncrementalAnswer(answer, &state_);
-          }
-        } else {
-          baseline_result_ = std::move(fresh_result);
-        }
-        fitted_ = true;
-        fitted_flag_.store(true, std::memory_order_relaxed);
-        ++refresh_count_;
-        TCROWD_TRACE(kEngine, kInfo, "refresh installed",
-                     static_cast<uint64_t>(refresh_count_), store_.size());
-      }
-      if (refresh_pending_ && !shutdown_) {
-        // Coalesced requests: run one more pass with a fresh snapshot;
-        // refresh_in_flight_ stays set so waiters keep waiting.
-        refresh_pending_ = false;
-        answers_since_refresh_ = 0;
-        absorbed_since_refresh_.store(0, std::memory_order_relaxed);
-        continue;
-      }
-      refresh_in_flight_ = false;
-      // Notify under the lock: a waiter (incl. the destructor) may
-      // otherwise finish and destroy the condition variable before the
-      // notify lands.
-      refresh_done_.notify_all();
-      return;
-    }
+  std::lock_guard<std::mutex> lock(mu_);
+  while (!shutdown_) {
+    SealLocked();
+    refresh_count_.fetch_add(1, std::memory_order_relaxed);
+    if (!refresh_pending_) break;
+    // Coalesced requests: exactly one more pass over the new tail;
+    // refresh_in_flight_ stays set so waiters keep waiting.
+    refresh_pending_ = false;
+    answers_since_refresh_.store(0, std::memory_order_relaxed);
   }
+  refresh_in_flight_ = false;
+  // Notify under the lock: a waiter (incl. the destructor) may otherwise
+  // finish and destroy the condition variable before the notify lands.
+  refresh_done_.notify_all();
 }
 
 void IncrementalInferenceEngine::PersistSealedLocked() {
@@ -471,48 +363,38 @@ size_t IncrementalInferenceEngine::StoreIdForLocked(uint64_t log_id) const {
 
 Status IncrementalInferenceEngine::RetractAnswer(WorkerId worker,
                                                  CellRef cell) {
-  bool run_inline = false;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (cell.row < 0 || cell.row >= num_rows_ || cell.col < 0 ||
-        cell.col >= schema_.num_columns()) {
-      return Status::InvalidArgument("retract: cell out of range");
-    }
-    DrainIngestLocked();  // the target answer may still be queued
-    auto& entries =
-        cell_live_[static_cast<size_t>(cell.row) * schema_.num_columns() +
-                   cell.col];
-    size_t pos = entries.size();
-    for (size_t k = entries.size(); k-- > 0;) {
-      if (entries[k].worker == worker) {
-        pos = k;
-        break;
-      }
-    }
-    if (pos == entries.size()) {
-      return Status::NotFound(
-          "retract: worker has no live answer on this cell");
-    }
-    uint64_t log_id = entries[pos].log_id;
-    entries.erase(entries.begin() + pos);
-    store_.Tombstone(StoreIdForLocked(log_id));
-    pending_dead_.push_back(log_id);
-    ++retractions_total_;
-    // A retraction is as staleness-relevant as an answer: the incremental
-    // posterior still carries the dead evidence until the next refresh
-    // re-converges over the live log.
-    ++answers_since_refresh_;
-    absorbed_since_refresh_.store(answers_since_refresh_,
-                                  std::memory_order_relaxed);
-    if (snapshot_ != nullptr) {
-      Status st = snapshot_->JournalRetract(log_id);
-      if (!st.ok()) DisableCheckpointing(st, "journal retract");
-    }
-    if (StaleLocked() && !refresh_in_flight_) {
-      ScheduleRefreshLocked(&run_inline);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (cell.row < 0 || cell.row >= num_rows_ || cell.col < 0 ||
+      cell.col >= schema_.num_columns()) {
+    return Status::InvalidArgument("retract: cell out of range");
+  }
+  DrainIngestLocked();  // the target answer may still be queued
+  auto& entries =
+      cell_live_[static_cast<size_t>(cell.row) * schema_.num_columns() +
+                 cell.col];
+  size_t pos = entries.size();
+  for (size_t k = entries.size(); k-- > 0;) {
+    if (entries[k].worker == worker) {
+      pos = k;
+      break;
     }
   }
-  if (run_inline) RunRefresh();
+  if (pos == entries.size()) {
+    return Status::NotFound("retract: worker has no live answer on this cell");
+  }
+  uint64_t log_id = entries[pos].log_id;
+  entries.erase(entries.begin() + pos);
+  store_.Tombstone(StoreIdForLocked(log_id));
+  pending_dead_.push_back(log_id);
+  ++retractions_total_;
+  // A retraction is as staleness-relevant as an answer: the next seal
+  // scrubs it out of the store.
+  answers_since_refresh_.fetch_add(1, std::memory_order_relaxed);
+  if (snapshot_ != nullptr) {
+    Status st = snapshot_->JournalRetract(log_id);
+    if (!st.ok()) DisableCheckpointing(st, "journal retract");
+  }
+  if (StaleLocked() && !refresh_in_flight_) ScheduleRefreshLocked();
   return Status::Ok();
 }
 
@@ -544,106 +426,21 @@ SegmentedAnswerStore::Stats IncrementalInferenceEngine::store_stats() {
   return store_.stats();
 }
 
-Value IncrementalInferenceEngine::Estimate(CellRef cell) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DrainIngestLocked();
-  if (!fitted_) return Value();
-  if (store_.CellAnswerCount(cell.row, cell.col) == 0) return Value();
-  if (tcrowd_path_) {
-    if (!state_.column_active[cell.col]) return Value();
-    return state_.posterior(cell.row, cell.col).PointEstimate();
-  }
-  return baseline_result_.estimated_truth.at(cell);
-}
-
-double IncrementalInferenceEngine::CellEntropy(CellRef cell) {
-  std::lock_guard<std::mutex> lock(mu_);
-  DrainIngestLocked();
-  if (!fitted_ || !tcrowd_path_) return 0.0;
-  if (!state_.column_active[cell.col]) return 0.0;
-  return state_.posterior(cell.row, cell.col).Entropy();
-}
-
-Table IncrementalInferenceEngine::EstimatedTruth() {
-  std::lock_guard<std::mutex> lock(mu_);
-  DrainIngestLocked();
-  if (!fitted_) return Table(schema_, num_rows_);
-  if (tcrowd_path_) return TCrowdModel::StateToResult(state_).estimated_truth;
-  return baseline_result_.estimated_truth;
-}
-
 void IncrementalInferenceEngine::WaitForRefresh() {
   std::unique_lock<std::mutex> lock(mu_);
   refresh_done_.wait(lock, [this] { return !refresh_in_flight_; });
 }
 
 InferenceResult IncrementalInferenceEngine::Finalize() {
-  AnswerMatrixSnapshot snapshot;
-  {
-    // Drain refreshes, then reserve the executor (refresh_in_flight_ keeps
-    // concurrent submits from scheduling a fit onto it mid-finalize).
-    std::unique_lock<std::mutex> lock(mu_);
-    DrainIngestLocked();
-    refresh_done_.wait(lock, [this] { return !refresh_in_flight_; });
-    refresh_in_flight_ = true;
-    DrainIngestLocked();
-    // Full compaction: fresh standardization epoch + worker registry over
-    // everything collected — the snapshot is then indistinguishable from
-    // the one the batch model builds, which is what makes the finalized
-    // truths bit-identical to a batch fit on the same answers.
-    snapshot = store_.SealAndSnapshot(/*force_compact=*/true);
-    AbsorbAppliedTombstonesLocked();
-    PersistSealedLocked();
-    TCROWD_TRACE(kSeal, kInfo, "finalize force-compact seal",
-                 snapshot.num_answers(), static_cast<uint64_t>(0));
-    if (args_.recorder != nullptr) {
-      args_.recorder->RecordSeal(snapshot.num_answers());
-    }
-  }
-  TCROWD_TRACE(kEngine, kInfo, "finalize fit start", snapshot.num_answers(),
-               static_cast<uint64_t>(refresh_count_));
-  InferenceResult result;
-  try {
-    if (tcrowd_path_) {
-      // Same hot loop, same executor, full batch convergence: matches a
-      // batch TCrowdModel run with args().tcrowd_options bit-for-bit.
-      result = TCrowdModel::StateToResult(
-          MakeTCrowdModel().Fit(schema_, snapshot, executor_.get()));
-    } else {
-      result = MakeBatchMethod()->Infer(schema_,
-                                        MaterializeAnswerSet(snapshot));
-    }
-  } catch (...) {
-    std::lock_guard<std::mutex> lock(mu_);
-    refresh_in_flight_ = false;
-    refresh_pending_ = false;
-    refresh_done_.notify_all();
-    throw;
-  }
+  AnswerSet answers;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    refresh_in_flight_ = false;
-    // Requests coalesced behind the final fit are moot: the caller has the
-    // fully converged result already.
-    refresh_pending_ = false;
-    refresh_done_.notify_all();
+    SealLocked();
+    answers = store_.MaterializeAnswerSet();
   }
-  return result;
-}
-
-int IncrementalInferenceEngine::refresh_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return refresh_count_;
-}
-
-int IncrementalInferenceEngine::answers_since_refresh() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return answers_since_refresh_;
-}
-
-bool IncrementalInferenceEngine::fitted() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return fitted_;
+  TCROWD_TRACE(kEngine, kInfo, "finalize fit start", answers.size(),
+               static_cast<uint64_t>(refresh_count()));
+  return method_->Infer(schema_, answers);
 }
 
 }  // namespace tcrowd::service

@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "common/thread_pool.h"
 #include "data/answer.h"
-#include "inference/em_executor.h"
 #include "inference/inference_result.h"
 #include "inference/segment_store.h"
 #include "inference/tcrowd_model.h"
@@ -27,39 +26,37 @@ namespace tcrowd::service {
 /// plain struct carries the method choice, the model knobs, and the thread
 /// control in a single hand-off.
 struct InferenceArgs {
-  /// Truth-inference method serving the estimates. "tcrowd" (default) and
-  /// its restricted variants "tc-onlycate"/"tc-onlycont" get the full
-  /// incremental path; "mv", "median", "crh", "catd", "ds", "zencrowd",
-  /// "glad", "gtm" fall back to periodic batch refits.
+  /// Truth-inference method Finalize() runs over the answer log: "tcrowd"
+  /// (default), its restricted variants "tc-onlycate"/"tc-onlycont", or a
+  /// baseline: "mv", "median", "crh", "catd", "ds", "zencrowd", "glad",
+  /// "gtm". IncrementalInferenceEngine::BatchMethod builds it.
   std::string method = "tcrowd";
 
   /// Model knobs for the T-Crowd EM (ignored by baseline methods).
   TCrowdOptions tcrowd_options = TCrowdOptions::Fast();
 
-  /// A full EM refresh is scheduled once this many answers have been
-  /// absorbed since the last (started) refresh.
+  /// A refresh (seal + checkpoint of the new tail) is scheduled once this
+  /// many answers have been absorbed since the last (started) refresh.
   int staleness_threshold = 64;
 
-  /// Shards of the engine's persistent EmExecutor, across which every
-  /// refresh fans its E/M steps. The executor (and its thread pool) lives
-  /// as long as the engine — refreshes never spawn threads.
+  /// Shards the Finalize fit fans its E/M steps across: the T-Crowd fit
+  /// runs with max(tcrowd_options.num_threads, num_shards) executor shards.
   int num_shards = 1;
 
   /// When set, refreshes run as background jobs on the caller-supplied
-  /// common::ThreadPool and SubmitAnswer never blocks on a refit; when
-  /// clear (or no pool is given), refreshes run inline.
+  /// common::ThreadPool and SubmitAnswer never blocks on a seal's fsyncs;
+  /// when clear (or no pool is given), refreshes run inline.
   bool async_refresh = true;
 
-  /// Answers required before the first fit is attempted (EM on a nearly
-  /// empty matrix is noise).
+  /// Answers the store must hold before any refresh runs; the first
+  /// refresh is scheduled as soon as it holds this many.
   int min_answers_for_fit = 8;
 
   /// Submitted answers buffer in the engine's ingest queue and are drained
   /// into the answer store's tail segment in one pass once this many are
   /// queued (or earlier, when a staleness crossing / read needs them) —
-  /// amortizing the engine lock and the incremental posterior updates over
-  /// the batch instead of locking per answer. 1 restores per-answer
-  /// absorption.
+  /// amortizing the engine lock and the journal append over the batch
+  /// instead of locking per answer. 1 restores per-answer absorption.
   int ingest_batch_size = 32;
 
   /// Segment substrate tuning: compaction thresholds of the engine-owned
@@ -69,67 +66,68 @@ struct InferenceArgs {
   /// Durable segment persistence (docs/PERSISTENCE.md). When a directory is
   /// set, the engine restores the answer log from it at construction,
   /// journals every ingest-drained batch, and persists each newly sealed
-  /// slice of the log piggybacked on the refresh seal — keeping the hot
-  /// path O(new answers). Empty (default) disables persistence entirely.
+  /// slice of the log at the refresh seal — keeping the hot path O(new
+  /// answers). Empty (default) disables persistence entirely.
   CheckpointArgs checkpoint;
 
   /// Event recorder (unowned, nullable): the engine records a kSeal event
   /// after each tail seal. CrowdService plumbs its configured recorder in
-  /// here; seals are informational for replay (which force-compacts at
-  /// Finalize anyway) but load-bearing for incident forensics.
+  /// here; seals are informational for replay but load-bearing for
+  /// incident forensics.
   EventRecorder* recorder = nullptr;
 };
 
-/// Online truth inference around the batch models: owns the growing
-/// segmented answer store (the service's single indexed copy — every
-/// consumer reads it from here instead of re-indexing answer logs), absorbs
-/// answers batch-wise with cheap per-cell Bayes steps, and re-converges
-/// with a sharded EM refresh whenever the incremental state has gone stale.
+/// The service's answer log: owns the growing segmented answer store (the
+/// service's single indexed copy — every consumer reads it from here
+/// instead of re-indexing answer logs), absorbs answers batch-wise, seals
+/// and checkpoints the new tail whenever staleness crosses the refresh
+/// threshold, and runs the batch method over the live log at Finalize().
 ///
 /// The answer path (see docs/DATA_LIFECYCLE.md):
 ///
 ///   SubmitAnswer/SubmitAnswerBatch -> ingest queue -> (drain) tail segment
-///   -> SealAndSnapshot() seals the tail -> EM streams the sealed segments
+///   -> refresh: SealAndSnapshot() seals the tail, the slice is persisted
+///   -> Finalize(): BatchMethod(args) over the materialized live log
 ///
-/// A refresh seals ONLY the new tail (O(new answers)) and snapshots a
-/// vector of segment pointers — it never copies the answer matrix and never
-/// rebuilds the layout of previously sealed answers, so refresh cost scales
-/// with what arrived since the last refresh, not with total history.
-///
-/// Refreshes run the exact same hot loop as the batch TCrowdModel (both fit
-/// through the segmented snapshot + EmExecutor), on a persistent executor
-/// owned by this engine, so no refresh ever pays thread start-up. Refresh
-/// requests arriving while a refresh is running coalesce into exactly one
-/// follow-up refresh.
+/// A refresh seals ONLY the new tail (O(new answers)) — it never rebuilds
+/// previously sealed answers — and persists the newly sealed slice. Refresh
+/// requests arriving while a refresh is queued coalesce into exactly one
+/// follow-up refresh. The engine fits no model while serving: the
+/// assignment policies own the online T-Crowd model.
 ///
 /// Thread-safety: every public method may be called concurrently. Internal
 /// state is guarded by one engine mutex; the ingest queue has its own
-/// cheaper mutex so submits don't contend with reads or refresh installs;
-/// fits stream immutable segment snapshots so the submit path never waits
-/// on EM. Read APIs drain the ingest queue first (read-your-writes).
+/// cheaper mutex so submits don't contend with reads or seals. The
+/// staleness meter and the refresh count are atomics written under the
+/// engine mutex, so their readers never wait on a seal's fsyncs. Read APIs
+/// drain the ingest queue first (read-your-writes).
 class IncrementalInferenceEngine {
  public:
   /// `pool` (optional, unowned) runs async refreshes; it must outlive the
-  /// engine. Pass nullptr to force inline refreshes. The constructor also
-  /// builds the engine's own persistent EmExecutor (spawning its worker
-  /// threads once) sized to the normalized
-  /// max(tcrowd_options.num_threads, num_shards).
+  /// engine. Pass nullptr to force inline refreshes. CHECK-fails on an
+  /// unknown `args.method`.
   IncrementalInferenceEngine(const Schema& schema, int num_rows,
                              InferenceArgs args, ThreadPool* pool);
-  /// Blocks until any in-flight or coalesced-pending refresh has drained,
-  /// then joins the executor's pool.
+  /// Blocks until any in-flight or coalesced-pending refresh has drained.
   ~IncrementalInferenceEngine();
 
   IncrementalInferenceEngine(const IncrementalInferenceEngine&) = delete;
   IncrementalInferenceEngine& operator=(const IncrementalInferenceEngine&) =
       delete;
 
+  /// The batch method `args.method` names, with T-Crowd's options
+  /// normalized as the engine normalizes them (num_threads =
+  /// max(num_threads, num_shards)); null for an unknown name. Finalize()
+  /// of the engine and of the ShardRouter run it over the live log.
+  static std::unique_ptr<TruthInference> BatchMethod(
+      const Schema& schema, const InferenceArgs& args);
+
   /// Queues the answer for ingestion. The queue is drained into the store's
-  /// tail segment — applying the incremental posterior updates in one
-  /// locked pass — when ingest_batch_size answers have gathered, when
-  /// staleness crosses the refresh threshold, or when a read needs the
-  /// answers. Never blocks on EM in async mode; in inline mode the
-  /// staleness-crossing call runs the refresh itself.
+  /// tail segment — with one journal append per drained batch — when
+  /// ingest_batch_size answers have gathered, when staleness crosses the
+  /// refresh threshold, or when a read needs the answers. In async mode
+  /// never blocks on a seal; in inline mode the staleness-crossing call
+  /// runs the refresh itself.
   void SubmitAnswer(const Answer& answer);
 
   /// Queues a whole batch under one ingest lock; the batched ingestion
@@ -138,58 +136,46 @@ class IncrementalInferenceEngine {
   /// SubmitAnswer.
   void SubmitAnswerBatch(const Answer* answers, size_t n);
 
-  /// Explicitly schedules a full refresh (subject to min_answers_for_fit).
-  /// If one is already running, the request coalesces: exactly one
-  /// follow-up refresh runs after the current one installs, no matter how
-  /// many requests arrived meanwhile. Non-blocking in async mode; runs the
-  /// refresh inline otherwise.
+  /// Explicitly schedules a refresh (subject to min_answers_for_fit). If
+  /// one is already queued, the request coalesces: exactly one follow-up
+  /// refresh runs after it, no matter how many requests arrived meanwhile.
+  /// Non-blocking in async mode; runs the refresh inline otherwise.
   void RequestRefresh();
 
   /// Retracts the newest live answer `worker` gave on `cell`: tombstones it
   /// in the store (per-cell counts drop immediately; the physical removal
   /// happens at the next seal), journals a durable retraction record when
-  /// checkpointing is on, and counts toward staleness so a refresh
-  /// re-converges without the answer. The incremental posterior keeps the
-  /// retracted evidence until that refresh; Finalize() is always exact
-  /// (it force-compacts to the live answers first). NotFound when the
-  /// worker has no live answer on the cell.
+  /// checkpointing is on, and counts toward staleness. Finalize() never
+  /// sees a retracted answer. NotFound when the worker has no live answer
+  /// on the cell.
   Status RetractAnswer(WorkerId worker, CellRef cell);
 
   /// Full export of the current answer log as a plain AnswerSet. O(total
-  /// answers) by design — this is the test/baseline path, NOT the refresh
-  /// path (refreshes snapshot segment pointers instead). Drains the ingest
-  /// queue first.
+  /// answers) by design. Drains the ingest queue first.
   AnswerSet SnapshotAnswers();
   /// Number of answers absorbed so far (drains the ingest queue).
   size_t num_answers();
 
-  /// Current point estimate for one cell (incrementally updated between
-  /// refreshes). Missing value before the first fit / without answers.
-  /// Drains the ingest queue so a submitted answer is always visible.
-  Value Estimate(CellRef cell);
-  /// Current posterior entropy of one cell; 0 before the first fit.
-  double CellEntropy(CellRef cell);
-  /// Current full estimated table (missing cells where nothing is known).
-  Table EstimatedTruth();
-
-  /// Blocks until no refresh is running, queued behind a submit, or
-  /// pending through coalescing.
+  /// Blocks until no refresh is queued, running, or pending through
+  /// coalescing.
   void WaitForRefresh();
 
-  /// Drains pending ingests and refreshes, compacts the store (fresh
-  /// standardization epoch and worker registry over everything collected —
-  /// exactly what the batch model computes), then runs one final full
-  /// batch-converged fit on the persistent executor and returns it. The
-  /// finalized truths therefore match the batch model run on the same
-  /// answer set bit for bit. Blocks.
+  /// Drains pending ingests, seals and checkpoints the tail (one refresh
+  /// pass), then runs BatchMethod(args) over the live answer log outside
+  /// the engine mutex and returns its result — the same call a batch fit
+  /// over SnapshotAnswers() makes, so the two agree bit for bit. Blocks.
   InferenceResult Finalize();
 
-  /// Diagnostics. Each takes the engine mutex briefly; never blocks on EM.
-  int refresh_count() const;
-  /// Answers absorbed into the store since the last scheduled refresh
-  /// (excludes answers still buffered in the ingest queue).
-  int answers_since_refresh() const;
-  bool fitted() const;
+  /// Refresh passes run so far; lock-free.
+  int refresh_count() const {
+    return refresh_count_.load(std::memory_order_relaxed);
+  }
+  /// Answers (and retractions) absorbed into the store since the last
+  /// scheduled refresh, excluding answers still buffered in the ingest
+  /// queue: the admission meter. Lock-free.
+  int answers_since_refresh() const {
+    return answers_since_refresh_.load(std::memory_order_relaxed);
+  }
   const InferenceArgs& args() const { return args_; }
   /// Substrate counters of the engine-owned store (seals, compactions,
   /// re-indexed entries) — what the no-O(total)-rebuild regression test and
@@ -211,31 +197,23 @@ class IncrementalInferenceEngine {
   /// Retractions accepted by this engine instance (restored ones excluded).
   size_t num_retractions() const;
 
-  /// True for "tcrowd" and its restricted tc-onlycate/tc-onlycont variants,
-  /// which all run the incremental path.
-  static bool IsTCrowdMethod(const std::string& method);
-
  private:
-  /// The T-Crowd model (full or restricted variant) for `args_.method`.
-  TCrowdModel MakeTCrowdModel() const;
-  /// Builds the batch model for `args_.method` (never null; unknown names
-  /// fall back to T-Crowd).
-  std::unique_ptr<TruthInference> MakeBatchMethod() const;
-
-  /// Moves every queued answer into the store's tail and (unless
-  /// `apply_updates` is false because the caller is about to install a
-  /// fresh state and replay the tail) applies the incremental posterior
-  /// updates; `mu_` must be held (takes `ingest_mu_` briefly inside —
-  /// always in that order).
-  void DrainIngestLocked(bool apply_updates = true);
+  /// Moves every queued answer into the store's tail and journals the
+  /// batch; `mu_` must be held (takes `ingest_mu_` briefly inside — always
+  /// in that order).
+  void DrainIngestLocked();
   /// Drains, then schedules a refresh if the absorbed state is stale.
   void DrainAndMaybeRefresh();
-  /// Schedules (or runs inline) a refresh; `mu_` must be held. Sets the
-  /// coalescing flag instead when a refresh is already in flight.
-  void ScheduleRefreshLocked(bool* run_inline);
-  /// The refresh body: seal + segment-pointer snapshot, fit, install,
-  /// replay the tail; loops while coalesced requests are pending.
+  /// Schedules a refresh on the pool, or runs it inline; `mu_` must be
+  /// held. Sets the coalescing flag instead when a refresh is queued.
+  void ScheduleRefreshLocked();
+  /// The pool job: refresh passes under `mu_` while coalesced requests
+  /// are pending.
   void RunRefresh();
+  /// One refresh pass: drain, seal the tail, absorb the applied
+  /// tombstones, persist the sealed slice and record the seal; `mu_` must
+  /// be held.
+  void SealLocked();
   /// Staleness predicate; `mu_` must be held.
   bool StaleLocked() const;
   /// Restores the answer log from the snapshot directory (constructor
@@ -262,20 +240,20 @@ class IncrementalInferenceEngine {
   const int num_rows_;
   const InferenceArgs args_;
   ThreadPool* const pool_;  // unowned; nullptr = inline refresh
-
-  /// Persistent sharded EM substrate: one pool + scratch for the engine's
-  /// lifetime, reused by every refresh and by Finalize.
-  std::unique_ptr<EmExecutor> executor_;
+  /// The Finalize method (BatchMethod(schema_, args_)); never null.
+  const std::unique_ptr<TruthInference> method_;
 
   /// Ingest queue: submits append here under `ingest_mu_` only, so the
-  /// submit hot path never contends with reads, installs, or the Bayes
-  /// updates. Lock order: mu_ before ingest_mu_ (never the reverse).
+  /// submit hot path never contends with reads or seals. Lock order: mu_
+  /// before ingest_mu_ (never the reverse).
   std::mutex ingest_mu_;
   std::vector<Answer> ingest_;
-  /// Answers ever queued (ingest + absorbed); lock-free staleness hints.
+  /// Answers ever queued (ingest + absorbed); a lock-free drain hint.
   std::atomic<size_t> total_queued_{0};
-  std::atomic<int> absorbed_since_refresh_{0};
-  std::atomic<bool> fitted_flag_{false};
+  /// The staleness meter and the refresh count: written under `mu_`, read
+  /// lock-free (admission control, Stats and the submit drain hint).
+  std::atomic<int> answers_since_refresh_{0};
+  std::atomic<int> refresh_count_{0};
 
   mutable std::mutex mu_;
   std::condition_variable refresh_done_;
@@ -313,23 +291,12 @@ class IncrementalInferenceEngine {
   };
   std::vector<std::vector<CellLogEntry>> cell_live_;
   uint64_t retractions_total_ = 0;
-  /// Incremental T-Crowd state (valid when fitted_ && tcrowd_path_).
-  TCrowdState state_;
-  /// Batch estimates for the baseline path (valid when fitted_ &&
-  /// !tcrowd_path_).
-  InferenceResult baseline_result_;
-  bool tcrowd_path_ = true;
-  bool fitted_ = false;
+  /// A refresh job is queued or running on the pool.
   bool refresh_in_flight_ = false;
-  /// A refresh was requested while one was running; the in-flight refresh
-  /// runs exactly one more pass before clearing refresh_in_flight_.
+  /// A refresh was requested while one was in flight; the job runs exactly
+  /// one more pass before clearing refresh_in_flight_.
   bool refresh_pending_ = false;
   bool shutdown_ = false;
-  int answers_since_refresh_ = 0;
-  int refresh_count_ = 0;
-  /// Store size the running refresh snapshotted; on install the tail
-  /// [snapshot_size_, size) is replayed incrementally.
-  size_t snapshot_size_ = 0;
 };
 
 }  // namespace tcrowd::service

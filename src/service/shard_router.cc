@@ -17,17 +17,6 @@ int64_t SteadyNowNanos() {
       .count();
 }
 
-/// Finalize-only engine configuration: same model knobs as the shards, no
-/// persistence/recording, and refreshes suppressed so the only fit is the
-/// exact batch fit Finalize() runs.
-InferenceArgs MergeEngineArgs(InferenceArgs args) {
-  args.checkpoint = CheckpointArgs{};
-  args.recorder = nullptr;
-  args.async_refresh = false;
-  args.staleness_threshold = 1 << 30;
-  return args;
-}
-
 }  // namespace
 
 std::vector<ShardRange> PartitionRows(int num_rows, int num_shards) {
@@ -50,7 +39,11 @@ ShardRouter::ShardRouter(const Schema& schema, int num_rows,
                          ShardRouterConfig config)
     : schema_(schema),
       num_rows_(num_rows),
-      config_(std::move(config)) {
+      config_(std::move(config)),
+      method_(IncrementalInferenceEngine::BatchMethod(
+          schema_, config_.base.inference)) {
+  TCROWD_CHECK(method_ != nullptr)
+      << "unknown inference method " << config_.base.inference.method;
   TCROWD_CHECK(config_.num_shards >= 1);
   TCROWD_CHECK(config_.num_shards <= num_rows_);
   TCROWD_CHECK(static_cast<bool>(config_.policy_factory) ||
@@ -431,14 +424,12 @@ std::vector<Answer> ShardRouter::GatherAnswerLog() {
 
 InferenceResult ShardRouter::Finalize() {
   std::lock_guard<std::mutex> lock(mu_);
-  // One fresh engine over the seq-ordered merged log: the engine Finalize
-  // contract (bit-identical to a batch fit over the same log) is what makes
+  // The engine's Finalize method over the seq-ordered merged log: the same
+  // call a single engine makes over its own live log, which is what makes
   // this equal to the single-shard run's digest.
-  std::vector<Answer> ordered = GatherMergedLogLocked();
-  IncrementalInferenceEngine engine(
-      schema_, num_rows_, MergeEngineArgs(config_.base.inference), nullptr);
-  engine.SubmitAnswerBatch(ordered.data(), ordered.size());
-  return engine.Finalize();
+  AnswerSet answers(num_rows_, schema_.num_columns());
+  for (const Answer& answer : GatherMergedLogLocked()) answers.Add(answer);
+  return method_->Infer(schema_, answers);
 }
 
 void ShardRouter::CrashShard(int i) {

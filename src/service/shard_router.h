@@ -60,8 +60,8 @@ struct ShardRouterConfig {
 /// engine + snapshot dir + router policy) or a remote `tcrowd_serverd`
 /// daemon (RemoteShardBackend) — and presents them as ONE ServingBackend.
 /// Sessions span all shards; leases, submits, and retractions route to the
-/// shard owning the cell's row; and Finalize() merges the per-shard truth
-/// states into one global answer set whose digest is bit-identical to a
+/// shard owning the cell's row; and Finalize() merges the per-shard answer
+/// logs into one global answer set whose digest is bit-identical to a
 /// single-shard run over the same accepted history
 /// (tests/test_shard_router.cc, tests/test_remote_shard.cc).
 ///
@@ -71,10 +71,10 @@ struct ShardRouterConfig {
 /// submission order; Finalize() gathers each shard's live answer log
 /// through ShardBackend::GatherLog — the shard ENGINE's log, in-process or
 /// over the wire (kLogGather), so the crash drill genuinely exercises disk
-/// restore — remaps local rows to global, merge-sorts by seq, and
-/// batch-fits a fresh engine over the merged log, which the engine
-/// Finalize contract makes bit-identical to the single-engine run that saw
-/// the same history. See docs/SHARDING.md.
+/// restore — remaps local rows to global, merge-sorts by seq, and runs
+/// IncrementalInferenceEngine::BatchMethod over the merged log: the call a
+/// single engine's Finalize() makes over the same history. See
+/// docs/SHARDING.md.
 ///
 /// Thread-safety: same contract as CrowdService — all public methods may be
 /// called from concurrent driver threads; router state AND every
@@ -187,6 +187,8 @@ class ShardRouter : public ServingBackend {
   const Schema schema_;
   const int num_rows_;
   ShardRouterConfig config_;
+  /// The merged Finalize method (BatchMethod over the base args).
+  const std::unique_ptr<TruthInference> method_;
   std::vector<ShardRange> ranges_;
   std::vector<std::unique_ptr<ShardBackend>> shards_;
 

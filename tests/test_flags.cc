@@ -115,12 +115,13 @@ TEST(Flags, HasTracksPresence) {
   EXPECT_FALSE(p.Has("missing"));
 }
 
-TEST(Flags, UnqueriedFlagsDetected) {
-  auto p = ParseOk({"--used=1", "--typo=2"});
-  (void)p.GetInt("used");
-  auto unqueried = p.UnqueriedFlags();
-  ASSERT_EQ(unqueried.size(), 1u);
-  EXPECT_EQ(unqueried[0], "typo");
+TEST(Flags, CheckVocabularyNamesTheUnknownFlag) {
+  auto p = ParseOk({"--used=1", "--tagret=2"});
+  EXPECT_TRUE(p.CheckVocabulary({"used", "tagret"}).ok());
+  Status st = p.CheckVocabulary({"used", "target"});
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(st.message().find("--tagret"), std::string::npos);
+  EXPECT_TRUE(ParseOk({}).CheckVocabulary({}).ok());
 }
 
 TEST(Flags, ValueWithEqualsSign) {

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <future>
 #include <thread>
 
@@ -34,16 +33,6 @@ void Replay(const SimWorld& world, IncrementalInferenceEngine* engine) {
   }
 }
 
-TEST(IncrementalEngine, NoFitBeforeMinimumAnswers) {
-  SimWorld world(11, /*answers_per_task=*/0);
-  IncrementalInferenceEngine engine(world.world.schema,
-                                    world.world.truth.num_rows(),
-                                    SyncArgs(/*staleness=*/1), nullptr);
-  EXPECT_FALSE(engine.fitted());
-  EXPECT_FALSE(engine.Estimate(CellRef{0, 0}).valid());
-  EXPECT_EQ(engine.CellEntropy(CellRef{0, 0}), 0.0);
-}
-
 TEST(IncrementalEngine, StalenessTriggersRefresh) {
   SimWorld world(12, /*answers_per_task=*/3);
   IncrementalInferenceEngine engine(world.world.schema,
@@ -51,7 +40,6 @@ TEST(IncrementalEngine, StalenessTriggersRefresh) {
                                     SyncArgs(/*staleness=*/100), nullptr);
   Replay(world, &engine);
   // 40 rows x 6 cols x 3 answers = 720 submits, staleness 100 -> >= 7.
-  EXPECT_TRUE(engine.fitted());
   EXPECT_GE(engine.refresh_count(), 7);
   EXPECT_EQ(engine.num_answers(), world.answers.size());
 }
@@ -73,47 +61,6 @@ TEST(IncrementalEngine, FinalizeMatchesBatchModelExactly) {
                     expected.estimated_truth, 1e-12);
 }
 
-TEST(IncrementalEngine, IncrementalEstimatesTrackBatchEstimates) {
-  SimWorld world(14, /*answers_per_task=*/4);
-  IncrementalInferenceEngine engine(world.world.schema,
-                                    world.world.truth.num_rows(),
-                                    SyncArgs(/*staleness=*/50), nullptr);
-  Replay(world, &engine);
-
-  Table incremental = engine.EstimatedTruth();
-  TCrowdModel batch(engine.args().tcrowd_options);
-  Table batch_truth =
-      batch.Infer(world.world.schema, engine.SnapshotAnswers())
-          .estimated_truth;
-
-  const Schema& schema = world.world.schema;
-  int cat_total = 0, cat_agree = 0;
-  double cont_err = 0.0;
-  int cont_total = 0;
-  for (int i = 0; i < incremental.num_rows(); ++i) {
-    for (int j = 0; j < schema.num_columns(); ++j) {
-      const Value& inc = incremental.at(i, j);
-      const Value& ref = batch_truth.at(i, j);
-      if (!inc.valid() || !ref.valid()) continue;
-      if (inc.is_categorical()) {
-        ++cat_total;
-        if (inc.label() == ref.label()) ++cat_agree;
-      } else {
-        const ColumnSpec& col = schema.column(j);
-        double span = col.max_value - col.min_value;
-        cont_err += std::fabs(inc.number() - ref.number()) / span;
-        ++cont_total;
-      }
-    }
-  }
-  ASSERT_GT(cat_total, 0);
-  ASSERT_GT(cont_total, 0);
-  // The incremental posterior only staled by < 50 answers relative to the
-  // last full EM; it must agree with batch on the vast majority of cells.
-  EXPECT_GE(static_cast<double>(cat_agree) / cat_total, 0.9);
-  EXPECT_LE(cont_err / cont_total, 0.05);
-}
-
 TEST(IncrementalEngine, AsyncRefreshOnPoolConverges) {
   SimWorld world(15, /*answers_per_task=*/3);
   ThreadPool pool(2);
@@ -124,7 +71,6 @@ TEST(IncrementalEngine, AsyncRefreshOnPoolConverges) {
                                     &pool);
   Replay(world, &engine);
   engine.WaitForRefresh();
-  EXPECT_TRUE(engine.fitted());
   EXPECT_GE(engine.refresh_count(), 1);
 
   InferenceResult finalized = engine.Finalize();
@@ -145,18 +91,14 @@ TEST(IncrementalEngine, RestrictedVariantsRunTheRestrictedModel) {
                                     world.world.truth.num_rows(), args,
                                     nullptr);
   Replay(world, &engine);
-  ASSERT_TRUE(engine.fitted());
 
   const Schema& schema = world.world.schema;
-  Table estimated = engine.EstimatedTruth();
-  for (int j : schema.ContinuousColumns()) {
-    for (int i = 0; i < estimated.num_rows(); ++i) {
-      EXPECT_FALSE(estimated.at(i, j).valid());
-    }
-    EXPECT_FALSE(engine.Estimate(CellRef{0, j}).valid());
-  }
-
   InferenceResult finalized = engine.Finalize();
+  for (int j : schema.ContinuousColumns()) {
+    for (int i = 0; i < finalized.estimated_truth.num_rows(); ++i) {
+      EXPECT_FALSE(finalized.estimated_truth.at(i, j).valid());
+    }
+  }
   TCrowdModel batch =
       TCrowdModel::OnlyCategorical(schema, engine.args().tcrowd_options);
   InferenceResult expected = batch.Infer(schema, engine.SnapshotAnswers());
@@ -205,7 +147,6 @@ TEST(IncrementalEngine, CoalescesRefreshRequestsIntoOneFollowUp) {
   // One initial refresh plus exactly one coalesced follow-up, no matter how
   // many requests queued up behind it.
   EXPECT_EQ(engine.refresh_count(), 2);
-  EXPECT_TRUE(engine.fitted());
 
   InferenceResult finalized = engine.Finalize();
   TCrowdModel batch(engine.args().tcrowd_options);
@@ -222,14 +163,13 @@ TEST(IncrementalEngine, RequestRefreshBelowMinimumAnswersIsIgnored) {
                                     SyncArgs(/*staleness=*/1), nullptr);
   engine.RequestRefresh();
   EXPECT_EQ(engine.refresh_count(), 0);
-  EXPECT_FALSE(engine.fitted());
 }
 
 TEST(IncrementalEngine, ShardedFinalizeMatchesShardedBatchBitForBit) {
   // 40 rows x 6 cols x 9 answers = 2160 answers: enough to engage the
-  // sharded M-step, so this exercises the tree reduction end to end through
-  // both the engine's persistent executor and the batch model's transient
-  // one. Zero tolerance: the two paths must agree to the last bit.
+  // sharded M-step, so this exercises the tree reduction end to end on a
+  // 3-shard executor. Zero tolerance: Finalize and the batch model must
+  // agree to the last bit.
   SimWorld world(23, /*answers_per_task=*/9);
   ThreadPool pool(2);
   InferenceArgs args = SyncArgs(/*staleness=*/500);

@@ -148,7 +148,7 @@ TEST(NetServer, SocketDigestMatchesInProcess) {
 
 TEST(NetServer, TinyBudgetShedsAreAbsorbedWithoutChangingTheDigest) {
   // With the in-flight budget pinned at the staleness threshold, admission
-  // control sheds whenever the async EM refresh lags ingest — and because a
+  // control sheds whenever the async refresh lags ingest — and because a
   // shed books nothing and the client resends the identical batch, the
   // accepted history (and digest) must STILL match the in-process run.
   int64_t in_process_answers = 0;

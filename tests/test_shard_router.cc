@@ -176,60 +176,65 @@ TEST(ShardRouter, LeasedCellsUseGlobalRowsAndAcceptAnswers) {
 // The tentpole guarantee: merged Finalize over N shards is bit-identical to
 // a single-shard run over the same accepted history — including retractions
 // whose answers live on different shards, and sessions that expire while
-// holding leases on several shards at once.
+// holding leases on several shards at once — for the full model, a
+// restricted variant and a baseline method alike.
 
 TEST(ShardRouter, MergedFinalizeIsBitIdenticalAcrossShardCounts) {
-  for (uint64_t seed : {7u, 19u}) {
-    SCOPED_TRACE("seed " + std::to_string(seed));
-    SimWorld world(seed, /*answers_per_task=*/3);
-    const std::vector<Answer>& all = world.answers.answers();
-    const Schema& schema = world.world.schema;
-    int rows = world.world.truth.num_rows();
+  for (const char* method : {"tcrowd", "tc-onlycate", "mv"}) {
+    for (uint64_t seed : {7u, 19u}) {
+      SCOPED_TRACE(std::string(method) + " seed " + std::to_string(seed));
+      SimWorld world(seed, /*answers_per_task=*/3);
+      const std::vector<Answer>& all = world.answers.answers();
+      const Schema& schema = world.world.schema;
+      int rows = world.world.truth.num_rows();
 
-    // The script: feed the first half, force-expire every session (their
-    // leases span several shards), feed the rest under fresh sessions, then
-    // retract a handful of answers spread across the table.
-    int64_t now = 0;
-    size_t half = all.size() / 2;
-    std::vector<Answer> retractions = {all[3], all[half + 5],
-                                       all[all.size() - 7]};
-    auto run = [&](ServingBackend* backend) -> uint64_t {
-      ScriptDriver driver(backend);
-      std::vector<Answer> first(all.begin(), all.begin() + half);
-      std::vector<Answer> rest(all.begin() + half, all.end());
-      driver.FeedAllOk(first);
-      now += 900 * int64_t{1000000000};
-      backend->ExpireStaleSessions();
-      driver.FeedAllOk(rest);
-      for (const Answer& gone : retractions) {
-        EXPECT_TRUE(backend->RetractAnswer(gone.worker, gone.cell).ok());
+      // The script: feed the first half, force-expire every session (their
+      // leases span several shards), feed the rest under fresh sessions, then
+      // retract a handful of answers spread across the table.
+      int64_t now = 0;
+      size_t half = all.size() / 2;
+      std::vector<Answer> retractions = {all[3], all[half + 5],
+                                         all[all.size() - 7]};
+      auto run = [&](ServingBackend* backend) -> uint64_t {
+        ScriptDriver driver(backend);
+        std::vector<Answer> first(all.begin(), all.begin() + half);
+        std::vector<Answer> rest(all.begin() + half, all.end());
+        driver.FeedAllOk(first);
+        now += 900 * int64_t{1000000000};
+        backend->ExpireStaleSessions();
+        driver.FeedAllOk(rest);
+        for (const Answer& gone : retractions) {
+          EXPECT_TRUE(backend->RetractAnswer(gone.worker, gone.cell).ok());
+        }
+        return TruthDigest(backend->Finalize().estimated_truth);
+      };
+
+      ServiceConfig single_config = BaseConfig();
+      single_config.inference.method = method;
+      single_config.session_lease_timeout_seconds = 300.0;
+      single_config.clock_nanos = [&now] { return now; };
+      CrowdService single(schema, rows, std::make_unique<LoopingPolicy>(),
+                          single_config);
+      uint64_t want = run(&single);
+      ServiceStats single_stats = single.Stats();
+      EXPECT_GT(single_stats.sessions_expired, 0);
+      EXPECT_EQ(single_stats.answers_retracted,
+                static_cast<int64_t>(retractions.size()));
+
+      for (int shards : {1, 2, 4}) {
+        SCOPED_TRACE("shards " + std::to_string(shards));
+        now = 0;
+        ShardRouterConfig config = RouterConfig(shards);
+        config.base.inference.method = method;
+        config.base.session_lease_timeout_seconds = 300.0;
+        config.base.clock_nanos = [&now] { return now; };
+        ShardRouter router(schema, rows, std::move(config));
+        EXPECT_EQ(run(&router), want);
+        ServiceStats stats = router.Stats();
+        EXPECT_EQ(stats.answers_accepted, single_stats.answers_accepted);
+        EXPECT_EQ(stats.answers_retracted, single_stats.answers_retracted);
+        EXPECT_EQ(stats.sessions_expired, single_stats.sessions_expired);
       }
-      return TruthDigest(backend->Finalize().estimated_truth);
-    };
-
-    ServiceConfig single_config = BaseConfig();
-    single_config.session_lease_timeout_seconds = 300.0;
-    single_config.clock_nanos = [&now] { return now; };
-    CrowdService single(schema, rows, std::make_unique<LoopingPolicy>(),
-                        single_config);
-    uint64_t want = run(&single);
-    ServiceStats single_stats = single.Stats();
-    EXPECT_GT(single_stats.sessions_expired, 0);
-    EXPECT_EQ(single_stats.answers_retracted,
-              static_cast<int64_t>(retractions.size()));
-
-    for (int shards : {1, 2, 4}) {
-      SCOPED_TRACE("shards " + std::to_string(shards));
-      now = 0;
-      ShardRouterConfig config = RouterConfig(shards);
-      config.base.session_lease_timeout_seconds = 300.0;
-      config.base.clock_nanos = [&now] { return now; };
-      ShardRouter router(schema, rows, std::move(config));
-      EXPECT_EQ(run(&router), want);
-      ServiceStats stats = router.Stats();
-      EXPECT_EQ(stats.answers_accepted, single_stats.answers_accepted);
-      EXPECT_EQ(stats.answers_retracted, single_stats.answers_retracted);
-      EXPECT_EQ(stats.sessions_expired, single_stats.sessions_expired);
     }
   }
 }

@@ -9,6 +9,16 @@
 
 namespace tcrowd::tools {
 
+std::vector<std::string> ServingVocabulary(
+    std::vector<std::string> mode_flags) {
+  for (const char* name :
+       {"seed", "dataset", "rows", "cols", "ratio", "workers", "policy",
+        "engine", "target", "threads", "staleness", "checkpoint-dir"}) {
+    mode_flags.push_back(name);
+  }
+  return mode_flags;
+}
+
 Status ParseServingOptions(const FlagParser& flags, ServingOptions* out) {
   ServingOptions opt;
   opt.seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
@@ -33,7 +43,12 @@ Status ParseServingOptions(const FlagParser& flags, ServingOptions* out) {
   if (MakeServingPolicy(opt.policy, 0) == nullptr) {
     return Status::InvalidArgument("unknown --policy=" + opt.policy);
   }
-  opt.engine = flags.GetString("engine", "tcrowd");
+  service::InferenceArgs engine;
+  engine.method = opt.engine = flags.GetString("engine", "tcrowd");
+  if (service::IncrementalInferenceEngine::BatchMethod(Schema(), engine) ==
+      nullptr) {
+    return Status::InvalidArgument("unknown --engine=" + opt.engine);
+  }
   opt.target = static_cast<int>(flags.GetInt("target", 4));
   opt.threads = static_cast<int>(flags.GetInt("threads", 2));
   opt.staleness = static_cast<int>(flags.GetInt("staleness", 64));
@@ -105,6 +120,23 @@ std::string ServingRecipe(const ServingOptions& opt) {
                       opt.engine.c_str(), opt.target, opt.staleness,
                       opt.threads);
   return recipe;
+}
+
+Status ServingOptionsFromRecipe(const std::string& recipe, uint64_t seed,
+                                ServingOptions* out) {
+  // A recipe is "key=value" tokens named like the flags they came from, so
+  // it parses as those flags, with the same defaults and validation.
+  std::vector<std::string> args;
+  for (const std::string& token : Split(recipe, ' ')) {
+    if (!token.empty()) args.push_back("--" + token);
+  }
+  std::vector<const char*> argv;
+  for (const std::string& arg : args) argv.push_back(arg.c_str());
+  FlagParser flags;
+  Status st = flags.Parse(static_cast<int>(argv.size()), argv.data());
+  if (st.ok()) st = ParseServingOptions(flags, out);
+  if (st.ok()) out->seed = seed;
+  return st;
 }
 
 }  // namespace tcrowd::tools

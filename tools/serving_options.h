@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "assignment/policy.h"
 #include "common/flags.h"
@@ -48,10 +49,14 @@ struct ServingOptions {
   std::string checkpoint_dir;
 };
 
+/// The flag vocabulary of a serving entry point: the shared world/service
+/// flags ParseServingOptions reads, plus the entry point's `mode_flags`.
+std::vector<std::string> ServingVocabulary(std::vector<std::string> mode_flags);
+
 /// Parses the shared world/service flags (--seed --dataset --rows --cols
 /// --ratio --workers --policy --engine --target --threads --staleness
-/// --checkpoint-dir). InvalidArgument on an unknown --dataset or --policy;
-/// the caller prefixes its program name when printing.
+/// --checkpoint-dir). InvalidArgument on an unknown --dataset, --policy or
+/// --engine; the caller prefixes its program name when printing.
 Status ParseServingOptions(const FlagParser& flags, ServingOptions* out);
 
 /// Synthesizes the world the options describe. Identical construction (and
@@ -74,6 +79,12 @@ service::ServiceConfig MakeServingConfig(const ServingOptions& opt);
 /// The world recipe carried in event-log headers — what `tcrowd replay`
 /// needs to rebuild this world without knowing who recorded it.
 std::string ServingRecipe(const ServingOptions& opt);
+
+/// The inverse of ServingRecipe: the options a recorded recipe (and the
+/// run's seed) describe, with the flag defaults for anything it omits.
+/// InvalidArgument on an unknown dataset or engine.
+Status ServingOptionsFromRecipe(const std::string& recipe, uint64_t seed,
+                                ServingOptions* out);
 
 }  // namespace tcrowd::tools
 

@@ -34,7 +34,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <memory>
 #include <string>
@@ -45,15 +44,7 @@
 #include "common/string_util.h"
 #include "data/csv.h"
 #include "data/dataset.h"
-#include "inference/catd.h"
-#include "inference/crh.h"
-#include "inference/dawid_skene.h"
-#include "inference/glad.h"
-#include "inference/gtm.h"
-#include "inference/majority_voting.h"
-#include "inference/median_inference.h"
 #include "inference/tcrowd_model.h"
-#include "inference/zencrowd.h"
 #include "net/client.h"
 #include "net/socket_util.h"
 #include "platform/event_log.h"
@@ -142,24 +133,14 @@ methods: tcrowd, tc-onlycate, tc-onlycont, mv, median, ds, zencrowd, glad,
   return 2;
 }
 
-std::unique_ptr<TruthInference> MakeMethod(const std::string& name,
-                                           const Schema& schema) {
-  if (name == "tcrowd") return std::make_unique<TCrowdModel>();
-  if (name == "tc-onlycate") {
-    return std::make_unique<TCrowdModel>(TCrowdModel::OnlyCategorical(schema));
-  }
-  if (name == "tc-onlycont") {
-    return std::make_unique<TCrowdModel>(TCrowdModel::OnlyContinuous(schema));
-  }
-  if (name == "mv") return std::make_unique<MajorityVoting>();
-  if (name == "median") return std::make_unique<MedianInference>();
-  if (name == "ds") return std::make_unique<DawidSkene>();
-  if (name == "zencrowd") return std::make_unique<ZenCrowd>();
-  if (name == "glad") return std::make_unique<Glad>();
-  if (name == "gtm") return std::make_unique<Gtm>();
-  if (name == "crh") return std::make_unique<Crh>();
-  if (name == "catd") return std::make_unique<Catd>();
-  return nullptr;
+/// The batch method `name` names (the engine's factory), with the
+/// paper-faithful TCrowdOptions(); null on an unknown name.
+std::unique_ptr<TruthInference> PaperMethod(const std::string& name,
+                                            const Schema& schema) {
+  service::InferenceArgs args;
+  args.method = name;
+  args.tcrowd_options = TCrowdOptions();
+  return service::IncrementalInferenceEngine::BatchMethod(schema, args);
 }
 
 /// Writes an estimated table as CSV: header of column names, then one row
@@ -263,7 +244,7 @@ int CmdInfer(const FlagParser& flags) {
     std::fprintf(stderr, "infer: %s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  auto method = MakeMethod(method_name, dataset->schema);
+  auto method = PaperMethod(method_name, dataset->schema);
   if (method == nullptr) {
     std::fprintf(stderr, "infer: unknown --method=%s\n", method_name.c_str());
     return 2;
@@ -309,7 +290,7 @@ int CmdEval(const FlagParser& flags) {
   for (const char* name :
        {"tcrowd", "crh", "catd", "mv", "ds", "glad", "zencrowd",
         "tc-onlycate", "median", "gtm", "tc-onlycont"}) {
-    auto method = MakeMethod(name, dataset->schema);
+    auto method = PaperMethod(name, dataset->schema);
     InferenceResult result =
         method->Infer(dataset->schema, dataset->answers);
     bool has_cat_estimates = false, has_cont_estimates = false;
@@ -333,12 +314,6 @@ int CmdEval(const FlagParser& flags) {
   return 0;
 }
 
-std::unique_ptr<AssignmentPolicy> MakePolicy(const std::string& name,
-                                             uint64_t seed) {
-  // One policy table for every serving entry point (serving_options.cc).
-  return tools::MakeServingPolicy(name, seed);
-}
-
 int CmdAssign(const FlagParser& flags) {
   std::string which = flags.GetString("dataset", "restaurant");
   sim::PaperDataset pd;
@@ -354,7 +329,7 @@ int CmdAssign(const FlagParser& flags) {
   }
   uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 42));
   std::string policy_name = flags.GetString("policy", "structure");
-  auto policy = MakePolicy(policy_name, seed);
+  auto policy = tools::MakeServingPolicy(policy_name, seed);
   if (policy == nullptr) {
     std::fprintf(stderr, "assign: unknown --policy=%s\n",
                  policy_name.c_str());
@@ -458,7 +433,7 @@ int CmdServeSim(const FlagParser& flags) {
   const std::string& world_name = world.dataset.name;
 
   const std::string& policy_name = sopt.policy;
-  auto policy = MakePolicy(policy_name, seed);
+  auto policy = tools::MakeServingPolicy(policy_name, seed);
 
   const std::string& checkpoint_dir = sopt.checkpoint_dir;
   int64_t crash_after = flags.GetInt("crash-after", 0);
@@ -484,11 +459,6 @@ int CmdServeSim(const FlagParser& flags) {
   }
 
   service::ServiceConfig config = tools::MakeServingConfig(sopt);
-  if (MakeMethod(config.inference.method, world.dataset.schema) == nullptr) {
-    std::fprintf(stderr, "serve-sim: unknown --engine=%s\n",
-                 config.inference.method.c_str());
-    return 2;
-  }
 
   // World recipe carried in the event log's kRunStart header: everything
   // `tcrowd replay` needs to rebuild this world and service config.
@@ -546,7 +516,7 @@ int CmdServeSim(const FlagParser& flags) {
       }
       service::CrowdService svc(world.dataset.schema,
                                 world.dataset.num_rows(),
-                                MakePolicy(policy_name, seed),
+                                tools::MakeServingPolicy(policy_name, seed),
                                 phase1_config);
       if (scenario_mode) {
         sim::ScenarioOptions phase1 = scenario_opt;
@@ -607,7 +577,8 @@ int CmdServeSim(const FlagParser& flags) {
     router_config.num_shards = num_shards;
     router_config.base = config;
     router_config.policy_factory = [policy_name, seed](int shard) {
-      return MakePolicy(policy_name, seed + static_cast<uint64_t>(shard));
+      return tools::MakeServingPolicy(policy_name,
+                                      seed + static_cast<uint64_t>(shard));
     };
     backend = std::make_unique<service::ShardRouter>(
         world.dataset.schema, world.dataset.num_rows(),
@@ -815,77 +786,29 @@ int CmdReplay(const FlagParser& flags) {
     return 1;
   }
 
-  // The kRunStart header's world recipe ("key=value key=value ...") is the
-  // blueprint: rebuild the world and service config it names, then re-drive
-  // the service from the log.
-  std::map<std::string, std::string> recipe;
-  for (const std::string& token : Split(run->world, ' ')) {
-    size_t eq = token.find('=');
-    if (eq != std::string::npos && eq > 0) {
-      recipe[token.substr(0, eq)] = token.substr(eq + 1);
-    }
-  }
-  auto recipe_get = [&recipe](const char* key, const std::string& fallback) {
-    auto it = recipe.find(key);
-    return it == recipe.end() ? fallback : it->second;
-  };
+  // The kRunStart header's world recipe (ServingRecipe's "key=value ..."
+  // tokens) is the blueprint: rebuild the world and service config it
+  // names, then re-drive the service from the log.
   const uint64_t seed = run->seed;
-
-  bool bad_dataset = false;
-  sim::SynthesizedWorld world = [&]() -> sim::SynthesizedWorld {
-    if (recipe.count("dataset") != 0) {
-      const std::string which = recipe["dataset"];
-      sim::PaperDataset pd = sim::PaperDataset::kRestaurant;
-      if (which == "celebrity") {
-        pd = sim::PaperDataset::kCelebrity;
-      } else if (which == "restaurant") {
-        pd = sim::PaperDataset::kRestaurant;
-      } else if (which == "emotion") {
-        pd = sim::PaperDataset::kEmotion;
-      } else {
-        bad_dataset = true;
-      }
-      sim::SynthesizerOptions opt;
-      opt.seed = seed;
-      opt.answers_per_task = 0;
-      return sim::SynthesizeDataset(pd, opt);
-    }
-    sim::TableGeneratorOptions topt;
-    topt.num_rows = std::atoi(recipe_get("rows", "60").c_str());
-    topt.num_cols = std::atoi(recipe_get("cols", "5").c_str());
-    topt.categorical_ratio = std::atof(recipe_get("ratio", "0.5").c_str());
-    sim::CrowdOptions copt;
-    copt.num_workers = std::atoi(recipe_get("workers", "40").c_str());
-    Rng rng(seed);
-    sim::GeneratedTable table = sim::GenerateTable(topt, &rng);
-    return sim::SynthesizeFromTable(std::move(table), copt, 0, seed + 1,
-                                    "custom");
-  }();
-  if (bad_dataset) {
-    std::fprintf(stderr, "replay: unknown dataset in recorded recipe: %s\n",
-                 run->world.c_str());
+  tools::ServingOptions sopt;
+  st = tools::ServingOptionsFromRecipe(run->world, seed, &sopt);
+  if (!st.ok()) {
+    std::fprintf(stderr, "replay: recorded recipe \"%s\": %s\n",
+                 run->world.c_str(), st.message().c_str());
     return 1;
   }
-
-  service::ServiceConfig config;
-  config.target_answers_per_task =
-      std::atoi(recipe_get("target", "4").c_str());
   // --threads overrides the recorded count: replay determinism must not
   // depend on it (leases come from the log, not the router), and the
   // determinism tests drive exactly this override.
-  config.num_threads =
-      flags.Has("threads")
-          ? static_cast<int>(flags.GetInt("threads", 2))
-          : std::atoi(recipe_get("threads", "2").c_str());
-  config.inference.method = recipe_get("engine", "tcrowd");
-  config.inference.staleness_threshold =
-      std::atoi(recipe_get("staleness", "64").c_str());
-  config.inference.num_shards = config.num_threads;
-  config.router.seed = seed + 2;
+  if (flags.Has("threads")) {
+    sopt.threads = static_cast<int>(flags.GetInt("threads", 2));
+  }
+  sim::SynthesizedWorld world = tools::BuildServingWorld(sopt);
+  service::ServiceConfig config = tools::MakeServingConfig(sopt);
 
   const std::string policy_name =
       run->policy.empty() ? "looping" : run->policy;
-  auto policy = MakePolicy(policy_name, seed);
+  auto policy = tools::MakeServingPolicy(policy_name, seed);
   if (policy == nullptr) {
     std::fprintf(stderr, "replay: unknown recorded policy %s\n",
                  policy_name.c_str());
@@ -1133,19 +1056,48 @@ int Main(int argc, const char* const* argv) {
     std::fprintf(stderr, "%s\n", st.ToString().c_str());
     return 2;
   }
+  // Each subcommand with its flag vocabulary: a flag outside it (a typo, or
+  // a retired flag) is refused before any work starts.
+  using Command = int (*)(const FlagParser&);
+  const std::map<std::string, std::pair<Command, std::vector<std::string>>>
+      commands = {
+          {"simulate",
+           {CmdSimulate,
+            {"out", "dataset", "rows", "cols", "ratio", "difficulty",
+             "workers", "answers-per-task", "seed"}}},
+          {"infer", {CmdInfer, {"data", "method", "out"}}},
+          {"eval", {CmdEval, {"data"}}},
+          {"assign",
+           {CmdAssign,
+            {"dataset", "policy", "budget", "seed", "tasks-per-worker"}}},
+          {"serve-sim",
+           {CmdServeSim,
+            tools::ServingVocabulary(
+                {"trace", "scenario", "crash-after", "shards", "record",
+                 "arrivals", "tasks-per-worker", "abandon", "batch-size",
+                 "drivers", "checkpoints", "curve-csv", "metrics-out",
+                 "metrics-interval-ms", "report-json"})}},
+          {"replay", {CmdReplay, {"log", "threads", "trace"}}},
+          {"inspect", {CmdInspect, {"dir"}}},
+          {"client",
+           {CmdClient,
+            tools::ServingVocabulary(
+                {"connect", "drive", "finalize", "stats", "metrics",
+                 "connections", "arrivals", "tasks-per-worker", "batch-size",
+                 "abandon"})}},
+      };
+  auto it = commands.find(command);
+  if (it == commands.end()) return Usage();
+  st = flags.CheckVocabulary(it->second.second);
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s: %s\n", command.c_str(), st.message().c_str());
+    return 2;
+  }
   // Crash diagnostics are always armed: a fatal signal dumps every
   // thread's trace ring to stderr (and $TCROWD_CRASH_DUMP_DIR when set)
   // before the process dies.
   trace::InstallCrashHandler();
-  if (command == "simulate") return CmdSimulate(flags);
-  if (command == "infer") return CmdInfer(flags);
-  if (command == "eval") return CmdEval(flags);
-  if (command == "assign") return CmdAssign(flags);
-  if (command == "serve-sim") return CmdServeSim(flags);
-  if (command == "replay") return CmdReplay(flags);
-  if (command == "inspect") return CmdInspect(flags);
-  if (command == "client") return CmdClient(flags);
-  return Usage();
+  return it->second.first(flags);
 }
 
 }  // namespace

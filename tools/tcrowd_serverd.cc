@@ -17,10 +17,9 @@
 //                       touches it (auto-restore).
 //
 // All roles share one event loop: a single-threaded poll() loop
-// multiplexing any number of client connections, with
-// admission control tied to EM refresh staleness and bounded per-connection
-// write queues. The same listener answers `GET /metrics` with Prometheus
-// text.
+// multiplexing any number of client connections, with admission control
+// tied to engine refresh staleness and bounded per-connection write
+// queues. The same listener answers `GET /metrics` with Prometheus text.
 //
 // Drive it with `tcrowd client --connect=HOST:PORT ...` or
 // `tcrowd serve-sim`-style load via the load generator's socket mode.
@@ -106,6 +105,14 @@ int Main(int argc, const char* const* argv) {
     return Usage();
   }
   if (flags.GetBool("help", false)) return Usage();
+  st = flags.CheckVocabulary(tools::ServingVocabulary(
+      {"help", "listen", "trace", "shards", "shard-index", "shard-count",
+       "router", "connect-shard", "record", "inflight-budget",
+       "inflight-factor", "write-queue-high", "max-frames-per-wake"}));
+  if (!st.ok()) {
+    std::fprintf(stderr, "tcrowd_serverd: %s\n", st.message().c_str());
+    return 2;
+  }
   std::string trace_flag = flags.GetString("trace");
   if (!trace_flag.empty()) {
     trace::Level level;

@@ -9,7 +9,7 @@
 //     history, swept over history size.
 // (c) Recovery latency: constructing an IncrementalInferenceEngine on a
 //     populated checkpoint directory — the full restore path (decode,
-//     verify, replay into the segmented store, re-seal), which is what a
+//     verify, load into the engine's answer log), which is what a
 //     restarted service pays before it can serve.
 
 #include <benchmark/benchmark.h>

@@ -48,16 +48,16 @@ inline std::vector<MethodEntry> Table7Methods() {
       {"Zencrowd", [wrap](const Schema&) { return wrap(new ZenCrowd()); },
        true, false},
       {"TC-onlyCate",
-       [wrap](const Schema& s) {
-         return wrap(new TCrowdModel(TCrowdModel::OnlyCategorical(s)));
+       [wrap](const Schema&) {
+         return wrap(new TCrowdModel(TCrowdModel::OnlyCategorical()));
        },
        true, false},
       {"Median", [wrap](const Schema&) { return wrap(new MedianInference()); },
        false, true},
       {"GTM", [wrap](const Schema&) { return wrap(new Gtm()); }, false, true},
       {"TC-onlyCont",
-       [wrap](const Schema& s) {
-         return wrap(new TCrowdModel(TCrowdModel::OnlyContinuous(s)));
+       [wrap](const Schema&) {
+         return wrap(new TCrowdModel(TCrowdModel::OnlyContinuous()));
        },
        false, true},
   };

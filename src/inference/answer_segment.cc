@@ -1,7 +1,7 @@
 #include "inference/answer_segment.h"
 
 #include <algorithm>
-#include <numeric>
+#include <unordered_map>
 
 #include "common/logging.h"
 #include "math/statistics.h"
@@ -9,118 +9,15 @@
 namespace tcrowd {
 
 namespace {
+
 constexpr double kMinScale = 1e-9;
-}  // namespace
 
-std::shared_ptr<const AnswerSegment> AnswerSegment::Build(
-    const Schema& schema, const std::vector<bool>& column_active,
-    const std::vector<double>& col_center,
-    const std::vector<double>& col_scale, const Answer* answers, size_t n,
-    const std::unordered_map<WorkerId, int>& worker_to_dense) {
-  int num_cols = schema.num_columns();
-  TCROWD_CHECK(static_cast<int>(column_active.size()) == num_cols);
-  TCROWD_CHECK(static_cast<int>(col_center.size()) == num_cols);
-  TCROWD_CHECK(static_cast<int>(col_scale.size()) == num_cols);
-
-  std::vector<uint8_t> col_continuous(num_cols, 0);
-  for (int j = 0; j < num_cols; ++j) {
-    col_continuous[j] = schema.column(j).type == ColumnType::kContinuous;
-  }
-
-  auto seg = std::shared_ptr<AnswerSegment>(new AnswerSegment());
-  seg->ans_row_.resize(n);
-  seg->ans_col_.resize(n);
-  seg->ans_worker_.resize(n);
-  seg->ans_number_.resize(n);
-  seg->ans_label_.resize(n);
-  seg->ans_active_.resize(n);
-  seg->ans_continuous_.resize(n);
-  seg->raw_number_.resize(n);
-  seg->sparse_worker_.resize(n);
-
-  for (size_t k = 0; k < n; ++k) {
-    const Answer& a = answers[k];
-    int j = a.cell.col;
-    TCROWD_CHECK(j >= 0 && j < num_cols);
-    seg->ans_row_[k] = a.cell.row;
-    seg->ans_col_[k] = j;
-    seg->ans_worker_[k] = worker_to_dense.at(a.worker);
-    seg->sparse_worker_[k] = a.worker;
-    seg->ans_active_[k] = column_active[j] ? 1 : 0;
-    seg->ans_continuous_[k] = col_continuous[j];
-    if (col_continuous[j]) {
-      seg->raw_number_[k] = a.value.number();
-      seg->ans_number_[k] = (a.value.number() - col_center[j]) / col_scale[j];
-      seg->ans_label_[k] = -1;
-    } else {
-      seg->raw_number_[k] = 0.0;
-      seg->ans_number_[k] = 0.0;
-      seg->ans_label_[k] = a.value.label();
-    }
-  }
-
-  // Cell-major permutation of the ACTIVE entries: stable sort by (row, col)
-  // keeps submission order within each cell, so draining segments in order
-  // reproduces the cell's full chronological run.
-  std::vector<int32_t> perm;
-  perm.reserve(n);
-  for (size_t k = 0; k < n; ++k) {
-    if (seg->ans_active_[k]) perm.push_back(static_cast<int32_t>(k));
-  }
-  std::stable_sort(perm.begin(), perm.end(), [&](int32_t a, int32_t b) {
-    if (seg->ans_row_[a] != seg->ans_row_[b]) {
-      return seg->ans_row_[a] < seg->ans_row_[b];
-    }
-    return seg->ans_col_[a] < seg->ans_col_[b];
-  });
-
-  size_t m = perm.size();
-  seg->cm_col_.resize(m);
-  seg->cm_worker_.resize(m);
-  seg->cm_number_.resize(m);
-  seg->cm_label_.resize(m);
-  for (size_t e = 0; e < m; ++e) {
-    int32_t k = perm[e];
-    seg->cm_col_[e] = seg->ans_col_[k];
-    seg->cm_worker_[e] = seg->ans_worker_[k];
-    seg->cm_number_[e] = seg->ans_number_[k];
-    seg->cm_label_[e] = seg->ans_label_[k];
-  }
-  for (size_t e = 0; e < m;) {
-    int32_t row = seg->ans_row_[perm[e]];
-    size_t begin = e;
-    while (e < m && seg->ans_row_[perm[e]] == row) ++e;
-    seg->row_runs_.push_back({row, static_cast<int32_t>(begin),
-                              static_cast<int32_t>(e)});
-  }
-  return seg;
-}
-
-Answer AnswerSegment::ReconstructAnswer(size_t k) const {
-  TCROWD_CHECK(k < size());
-  Answer a;
-  a.worker = sparse_worker_[k];
-  a.cell = CellRef{ans_row_[k], ans_col_[k]};
-  a.value = ans_continuous_[k] ? Value::Continuous(raw_number_[k])
-                               : Value::Categorical(ans_label_[k]);
-  return a;
-}
-
-bool AnswerSegment::FindRowRun(int row, int32_t* begin, int32_t* end) const {
-  auto it = std::lower_bound(
-      row_runs_.begin(), row_runs_.end(), row,
-      [](const RowRun& run, int r) { return run.row < r; });
-  if (it == row_runs_.end() || it->row != row) return false;
-  *begin = it->begin;
-  *end = it->end;
-  return true;
-}
-
+/// Per-column standardization from the column's continuous answer values
+/// in log order (empty for categorical columns).
 void ComputeColumnStandardization(
     const Schema& schema, const std::vector<std::vector<double>>& col_values,
     std::vector<double>* col_center, std::vector<double>* col_scale) {
   int num_cols = schema.num_columns();
-  TCROWD_CHECK(static_cast<int>(col_values.size()) == num_cols);
   col_center->assign(num_cols, 0.0);
   col_scale->assign(num_cols, 1.0);
   for (int j = 0; j < num_cols; ++j) {
@@ -142,37 +39,87 @@ void ComputeColumnStandardization(
   }
 }
 
-std::vector<std::vector<double>> CollectColumnValues(const Schema& schema,
-                                                     const Answer* answers,
-                                                     size_t n) {
-  std::vector<std::vector<double>> col_values(schema.num_columns());
-  for (size_t k = 0; k < n; ++k) {
-    const Answer& a = answers[k];
+}  // namespace
+
+AnswerSegment::AnswerSegment(const Schema& schema,
+                             const std::vector<bool>& column_active,
+                             const AnswerSet& answers) {
+  const int num_rows = answers.num_rows();
+  const int num_cols = schema.num_columns();
+  TCROWD_CHECK(answers.num_cols() == num_cols);
+  TCROWD_CHECK(static_cast<int>(column_active.size()) == num_cols);
+  const std::vector<Answer>& log = answers.answers();
+  const size_t n = log.size();
+
+  // The standardization epoch and the first-appearance worker registry,
+  // over every answer (inactive columns included).
+  std::vector<std::vector<double>> col_values(num_cols);
+  std::unordered_map<WorkerId, int> worker_to_dense;
+  for (const Answer& a : log) {
     if (schema.column(a.cell.col).type == ColumnType::kContinuous) {
       col_values[a.cell.col].push_back(a.value.number());
     }
+    auto [it, inserted] = worker_to_dense.emplace(
+        a.worker, static_cast<int>(worker_ids_.size()));
+    if (inserted) worker_ids_.push_back(a.worker);
   }
-  return col_values;
-}
+  ComputeColumnStandardization(schema, col_values, &col_center_, &col_scale_);
 
-void BuildWorkerRegistry(const Answer* answers, size_t n,
-                         std::vector<WorkerId>* worker_ids,
-                         std::unordered_map<WorkerId, int>* worker_to_dense) {
+  ans_row_.resize(n);
+  ans_col_.resize(n);
+  ans_worker_.resize(n);
+  ans_number_.resize(n);
+  ans_label_.resize(n);
+  ans_active_.resize(n);
+  ans_continuous_.resize(n);
+  // Active answers per cell, then prefix sums: cell_next[c] becomes the
+  // first cell-major slot of cell c (row-major cells).
+  std::vector<size_t> cell_next(static_cast<size_t>(num_rows) * num_cols + 1,
+                                0);
   for (size_t k = 0; k < n; ++k) {
-    auto [it, inserted] = worker_to_dense->emplace(
-        answers[k].worker, static_cast<int>(worker_ids->size()));
-    if (inserted) worker_ids->push_back(answers[k].worker);
-  }
-}
-
-AnswerSet MaterializeAnswerSet(const AnswerMatrixSnapshot& snapshot) {
-  AnswerSet out(snapshot.num_rows, snapshot.num_cols);
-  for (const auto& seg : snapshot.segments) {
-    for (size_t k = 0; k < seg->size(); ++k) {
-      out.Add(seg->ReconstructAnswer(k));
+    const Answer& a = log[k];
+    int j = a.cell.col;
+    bool continuous = schema.column(j).type == ColumnType::kContinuous;
+    ans_row_[k] = a.cell.row;
+    ans_col_[k] = j;
+    ans_worker_[k] = worker_to_dense.at(a.worker);
+    ans_active_[k] = column_active[j] ? 1 : 0;
+    ans_continuous_[k] = continuous ? 1 : 0;
+    if (continuous) {
+      ans_number_[k] = (a.value.number() - col_center_[j]) / col_scale_[j];
+      ans_label_[k] = -1;
+    } else {
+      ans_number_[k] = 0.0;
+      ans_label_[k] = a.value.label();
+    }
+    if (ans_active_[k]) {
+      ++cell_next[static_cast<size_t>(a.cell.row) * num_cols + j + 1];
     }
   }
-  return out;
+  for (size_t c = 1; c < cell_next.size(); ++c) {
+    cell_next[c] += cell_next[c - 1];
+  }
+  row_begin_.resize(static_cast<size_t>(num_rows) + 1);
+  for (int i = 0; i <= num_rows; ++i) {
+    row_begin_[i] = cell_next[static_cast<size_t>(i) * num_cols];
+  }
+
+  // Counting sort by cell: placing the active answers in log order keeps
+  // each cell's run in log order.
+  size_t m = cell_next.back();
+  cm_col_.resize(m);
+  cm_worker_.resize(m);
+  cm_number_.resize(m);
+  cm_label_.resize(m);
+  for (size_t k = 0; k < n; ++k) {
+    if (!ans_active_[k]) continue;
+    size_t e =
+        cell_next[static_cast<size_t>(ans_row_[k]) * num_cols + ans_col_[k]]++;
+    cm_col_[e] = ans_col_[k];
+    cm_worker_[e] = ans_worker_[k];
+    cm_number_[e] = ans_number_[k];
+    cm_label_[e] = ans_label_[k];
+  }
 }
 
 }  // namespace tcrowd

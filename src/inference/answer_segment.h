@@ -1,9 +1,8 @@
 #ifndef TCROWD_INFERENCE_ANSWER_SEGMENT_H_
 #define TCROWD_INFERENCE_ANSWER_SEGMENT_H_
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "data/answer.h"
@@ -11,63 +10,45 @@
 
 namespace tcrowd {
 
-/// One immutable, sealed slab of crowd answers in the flat form the T-Crowd
-/// EM streams. The segment is the unit of layout reuse: once sealed it is
-/// never modified, so a refresh that appends a new segment reuses every
-/// previously built run, SoA view, and dense-worker entry instead of
-/// rebuilding O(total answers) of index structure per fit (the per-refresh
-/// rebuild the pre-segment AnswerMatrixLayout paid).
-///
-/// A segment holds the same two views the old monolithic layout held, just
-/// scoped to its own chronological slice of the log:
+/// The flat layout of the answers one T-Crowd EM fit streams (paper
+/// Algorithm 1), built once per fit. It holds two views of the same
+/// answers:
 ///
 ///  - **Answer-order view** (structure-of-arrays): row / col / dense worker
-///    / standardized value / label per answer, in submission order. The
-///    M-step gradient accumulation streams segments back to back, which is
-///    exactly the global answer-id order the reduction is defined over.
-///  - **Cell-major view**: the segment's *active* entries permuted to
-///    (row, col, submission) order plus a sorted per-row run index. The
-///    E-step visits a cell's entries by draining each segment's run for that
-///    cell in segment order — the concatenation is the cell's full
-///    chronological run, so a fit over N segments is bit-identical to a fit
-///    over one segment holding the same answers (covered by tests).
+///    / standardized value / label per answer, in log order. The M-step
+///    streams ranges of it; its reduction is defined over this order.
+///  - **Cell-major view**: the answers of *active* columns in (row, col,
+///    log) order, with one contiguous run per row. The E-step reads a
+///    row's run; within a cell the answers keep log order.
 ///
-/// Continuous values are stored standardized under the build-time epoch
-/// (z = (x - center) / scale) next to the raw value, so sealed segments can
-/// be re-standardized (compaction) or exported without loss.
+/// Continuous values are stored standardized (z = (x - center) / scale per
+/// column: center = median, scale = robust MAD scale with std-dev and
+/// nominal-domain fallbacks, over the layout's answers). Workers get dense
+/// ids in first-appearance order.
 ///
-/// Ownership/thread-safety: segments are created sealed and immutable;
-/// they are shared across snapshots via shared_ptr and safe for any number
-/// of concurrent readers. A segment never references the AnswerSet, the
-/// store, or any mutable state.
+/// Thread-safety: immutable after construction; safe for concurrent
+/// readers.
 class AnswerSegment {
  public:
-  /// Contiguous run of cell-major entries belonging to one row.
-  struct RowRun {
-    int32_t row = 0;
-    int32_t begin = 0;  ///< first cell-major index of the row
-    int32_t end = 0;    ///< one past the last cell-major index
-  };
-
-  /// Seals `n` answers (a chronological slice of the log) into an immutable
-  /// segment. `worker_to_dense` must already contain every worker in the
-  /// slice (first-appearance dense ids — see AnswerMatrixSnapshot).
-  /// `column_active` masks columns out of the model: inactive answers keep
+  /// Lays out `answers`. Answers of a column outside `column_active` keep
   /// their answer-order slots (flagged inactive) but get no cell-major
-  /// entries, mirroring the historical layout. O(n log n).
-  static std::shared_ptr<const AnswerSegment> Build(
-      const Schema& schema, const std::vector<bool>& column_active,
-      const std::vector<double>& col_center,
-      const std::vector<double>& col_scale, const Answer* answers, size_t n,
-      const std::unordered_map<WorkerId, int>& worker_to_dense);
+  /// entries. O(answers + cells).
+  AnswerSegment(const Schema& schema, const std::vector<bool>& column_active,
+                const AnswerSet& answers);
 
   size_t size() const { return ans_row_.size(); }
+  /// Dense -> sparse worker ids, in first-appearance order.
+  const std::vector<WorkerId>& worker_ids() const { return worker_ids_; }
+  /// The standardization transform, one entry per column (center 0 and
+  /// scale 1 for categorical columns).
+  const std::vector<double>& col_center() const { return col_center_; }
+  const std::vector<double>& col_scale() const { return col_scale_; }
 
   // ---------------------------------------------------------------------
-  // Answer-order view, indexed by the answer's offset within the segment.
+  // Answer-order view, indexed by the answer's position in the log.
   const int32_t* ans_row() const { return ans_row_.data(); }
   const int32_t* ans_col() const { return ans_col_.data(); }
-  /// Dense worker id (first-appearance order, stable across segments).
+  /// Dense worker id.
   const int32_t* ans_worker() const { return ans_worker_.data(); }
   /// Standardized continuous value (0 for categorical answers).
   const double* ans_number() const { return ans_number_.data(); }
@@ -77,104 +58,28 @@ class AnswerSegment {
   const uint8_t* ans_active() const { return ans_active_.data(); }
   /// 1 when the answer's column is continuous.
   const uint8_t* ans_continuous() const { return ans_continuous_.data(); }
-  /// Raw (unstandardized) continuous value; 0 for categorical answers.
-  const double* raw_number() const { return raw_number_.data(); }
-  /// Sparse worker ids, for export / registry rebuilds.
-  const WorkerId* sparse_worker() const { return sparse_worker_.data(); }
-
-  /// Reconstructs the original Answer at segment offset `k` (export path).
-  Answer ReconstructAnswer(size_t k) const;
 
   // ---------------------------------------------------------------------
-  // Cell-major view: active entries sorted by (row, col, submission order).
-  /// Locates the cell-major range of `row`; false when the segment has no
-  /// active entries on the row. O(log rows-in-segment).
-  bool FindRowRun(int row, int32_t* begin, int32_t* end) const;
-  const std::vector<RowRun>& row_runs() const { return row_runs_; }
+  // Cell-major view: active entries sorted by (row, col, log order). Row
+  // `i` owns entries [row_begin(i), row_begin(i + 1)).
+  size_t row_begin(int row) const { return row_begin_[row]; }
   const int32_t* cm_col() const { return cm_col_.data(); }
   const int32_t* cm_worker() const { return cm_worker_.data(); }
   const double* cm_number() const { return cm_number_.data(); }
   const int32_t* cm_label() const { return cm_label_.data(); }
 
  private:
-  AnswerSegment() = default;
+  std::vector<WorkerId> worker_ids_;
+  std::vector<double> col_center_, col_scale_;
 
   std::vector<int32_t> ans_row_, ans_col_, ans_worker_, ans_label_;
   std::vector<double> ans_number_;
   std::vector<uint8_t> ans_active_, ans_continuous_;
-  std::vector<double> raw_number_;
-  std::vector<WorkerId> sparse_worker_;
 
+  std::vector<size_t> row_begin_;  ///< num_rows + 1 offsets
   std::vector<int32_t> cm_col_, cm_worker_, cm_label_;
   std::vector<double> cm_number_;
-  std::vector<RowRun> row_runs_;
 };
-
-/// What one EM fit consumes: an immutable list of segment pointers plus the
-/// epoch parameters they were built under. Taking a snapshot is O(segments +
-/// workers) — segment *contents* are shared, never copied — which is what
-/// makes the online engine's refresh "snapshot-free": the submit path keeps
-/// appending to the store's tail while the EM streams the sealed segments.
-///
-/// Thread-safety: a snapshot is an immutable value object; concurrent fits
-/// over the same snapshot are safe (each fit owns its own scratch).
-struct AnswerMatrixSnapshot {
-  int num_rows = 0;
-  int num_cols = 0;
-
-  /// Chronologically ordered; global answer id = offsets[s] + local offset.
-  std::vector<std::shared_ptr<const AnswerSegment>> segments;
-  /// Prefix answer counts, segments.size() + 1 entries; back() == total.
-  std::vector<size_t> offsets;
-
-  /// Dense -> sparse worker ids in FIRST-APPEARANCE order. Dense ids are
-  /// append-only: a new worker always takes the next slot, so sealed
-  /// segments' dense entries never go stale when workers arrive later.
-  std::vector<WorkerId> worker_ids;
-
-  /// Per-column participation mask and the standardization epoch
-  /// (z = (x - center) / scale) the segments were standardized under.
-  std::vector<bool> column_active;
-  std::vector<double> col_center;
-  std::vector<double> col_scale;
-
-  size_t num_answers() const { return offsets.empty() ? 0 : offsets.back(); }
-  int num_workers() const { return static_cast<int>(worker_ids.size()); }
-};
-
-/// Computes the per-column standardization transform (center = median,
-/// scale = robust MAD scale with std-dev and nominal-domain fallbacks) from
-/// the per-column answer values, exactly as the batch TCrowdModel always
-/// did. `col_values[j]` holds column j's continuous answer values in
-/// submission order (ignored/empty for categorical columns). Shared by the
-/// batch fit and the store's compaction so both derive identical epochs.
-void ComputeColumnStandardization(const Schema& schema,
-                                  const std::vector<std::vector<double>>& col_values,
-                                  std::vector<double>* col_center,
-                                  std::vector<double>* col_scale);
-
-/// Gathers the per-column continuous answer values of a chronological log
-/// slice, in submission order — the input ComputeColumnStandardization
-/// expects. One implementation shared by the batch fit, the store's first
-/// seal, and compaction, so every epoch derivation is identical by
-/// construction (the bit-for-bit Finalize guarantee depends on it).
-std::vector<std::vector<double>> CollectColumnValues(const Schema& schema,
-                                                     const Answer* answers,
-                                                     size_t n);
-
-/// Derives the FIRST-APPEARANCE dense worker registry of a chronological
-/// log slice, appending to (possibly pre-seeded) `worker_ids` /
-/// `worker_to_dense`. The batch fit and the store's compaction must agree
-/// on this ordering exactly — dense ids are the coordinate system sealed
-/// segments are expressed in.
-void BuildWorkerRegistry(const Answer* answers, size_t n,
-                         std::vector<WorkerId>* worker_ids,
-                         std::unordered_map<WorkerId, int>* worker_to_dense);
-
-/// Rebuilds a plain AnswerSet from a snapshot (export / baseline-method
-/// path). O(total answers) — by design this is the ONLY O(total) consumer
-/// left; the T-Crowd EM streams the segments directly.
-AnswerSet MaterializeAnswerSet(const AnswerMatrixSnapshot& snapshot);
 
 }  // namespace tcrowd
 

@@ -10,20 +10,18 @@
 
 namespace tcrowd {
 
-/// Persistent sharded execution substrate for the T-Crowd EM.
+/// Sharded execution substrate for the T-Crowd EM.
 ///
-/// Every sharded TCrowdModel::Fit runs on one: a fit without a caller's
-/// executor builds a transient one sized to options().num_threads (the
-/// engine's Finalize, the assignment policies' refits), and a caller may
-/// hand the same executor to several fits in turn. An EmExecutor:
+/// Every TCrowdModel::Fit runs on one, sized to options().num_threads (the
+/// engine's Finalize, the assignment policies' refits, the batch
+/// experiments). An EmExecutor:
 ///
-///  - owns one long-lived common::ThreadPool, reused across the fits it
-///    is handed;
+///  - owns one common::ThreadPool, reused across the fit's iterations;
 ///  - partitions the item space (tuples for the E-step, answers for the
 ///    M-step) into `num_shards` contiguous shards once per call shape;
-///  - keeps per-shard accumulator scratch alive across iterations and
-///    fits, so the gradient buffers are allocated once, not once per
-///    objective evaluation;
+///  - keeps per-shard accumulator scratch alive across calls, so the
+///    gradient buffers are allocated once per fit, not once per objective
+///    evaluation;
 ///  - merges shard results with a pairwise reduction tree instead of a
 ///    serial merge.
 ///
@@ -38,9 +36,8 @@ namespace tcrowd {
 /// 1-shard executor never spawns threads). It holds no reference to any
 /// model or answer data between calls.
 ///
-/// Thread-safety: an EmExecutor serializes nothing internally; it is meant
-/// to be driven by ONE fit at a time. Concurrent Fit calls must use
-/// separate executors.
+/// Thread-safety: an EmExecutor serializes nothing internally; it is
+/// driven by the ONE fit that owns it.
 class EmExecutor {
  public:
   /// Answer counts below this run the sharded accumulation serially even

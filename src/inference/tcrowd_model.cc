@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include <memory>
-
 #include "common/logging.h"
 #include "inference/answer_segment.h"
 #include "inference/em_executor.h"
@@ -64,30 +62,6 @@ struct ExpParams {
   }
 };
 
-/// Cell-major cursor into one segment's entries for the row being
-/// processed. Draining the cursors in segment order per column visits a
-/// cell's entries in global submission order — the same sequence of
-/// additions a single flat layout performs, so segmentation never changes
-/// a bit of the result.
-struct SegRowCursor {
-  const AnswerSegment* seg = nullptr;
-  int32_t pos = 0;
-  int32_t end = 0;
-};
-
-/// Collects cursors for every segment holding active answers on `row`, in
-/// segment (= chronological) order.
-void CollectRowCursors(const AnswerMatrixSnapshot& snap, int row,
-                       std::vector<SegRowCursor>* out) {
-  out->clear();
-  for (const auto& seg : snap.segments) {
-    int32_t begin, end;
-    if (seg->FindRowRun(row, &begin, &end)) {
-      out->push_back({seg.get(), begin, end});
-    }
-  }
-}
-
 }  // namespace
 
 const CellPosterior& TCrowdState::posterior(int row, int col) const {
@@ -131,44 +105,35 @@ double TCrowdState::StdPosteriorVariance(int row, int col) const {
 TCrowdModel::TCrowdModel(TCrowdOptions options)
     : options_(std::move(options)) {}
 
-TCrowdModel::TCrowdModel(TCrowdOptions options, std::string name)
-    : options_(std::move(options)), name_(std::move(name)) {}
+TCrowdModel::TCrowdModel(TCrowdOptions options, std::string name,
+                         ColumnType only_type)
+    : options_(std::move(options)),
+      name_(std::move(name)),
+      only_type_(only_type) {}
 
-TCrowdModel TCrowdModel::OnlyCategorical(const Schema& schema,
-                                         TCrowdOptions options) {
-  options.column_mask = schema.CategoricalColumns();
-  return TCrowdModel(std::move(options), "TC-onlyCate");
+TCrowdModel TCrowdModel::OnlyCategorical(TCrowdOptions options) {
+  return TCrowdModel(std::move(options), "TC-onlyCate",
+                     ColumnType::kCategorical);
 }
 
-TCrowdModel TCrowdModel::OnlyContinuous(const Schema& schema,
-                                        TCrowdOptions options) {
-  options.column_mask = schema.ContinuousColumns();
-  return TCrowdModel(std::move(options), "TC-onlyCont");
-}
-
-std::vector<bool> TCrowdModel::ActiveColumns(int num_cols) const {
-  std::vector<bool> active(num_cols, options_.column_mask.empty());
-  for (int j : options_.column_mask) {
-    TCROWD_CHECK(j >= 0 && j < num_cols) << "bad column mask entry";
-    active[j] = true;
-  }
-  return active;
+TCrowdModel TCrowdModel::OnlyContinuous(TCrowdOptions options) {
+  return TCrowdModel(std::move(options), "TC-onlyCont",
+                     ColumnType::kContinuous);
 }
 
 namespace {
 
 /// E-step (paper Eq. 4): recomputes every active cell's posterior from the
-/// current parameters by draining each segment's contiguous run for the
-/// cell, in segment order. Continuous posteriors are stored in original
-/// units. Rows are independent (disjoint writes), so the loop shards
-/// across the executor.
+/// current parameters by reading the row's cell-major run, one cell after
+/// another. Continuous posteriors are stored in original units. Rows are
+/// independent (disjoint writes), so the loop shards across the executor.
 ///
 /// Returns the observed-data log-likelihood ln P(A | alpha, beta, phi),
 /// with each cell's latent truth marginalized out: the normalizers of the
 /// posteriors computed here (Dempster, Laird & Rubin 1977). Cells without
 /// answers contribute nothing. Rows are summed in row order, so the value
 /// does not depend on the executor's shard count.
-double RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
+double RunEStep(const Schema& schema, const AnswerSegment& layout,
                 const ExpParams& xp, EmExecutor* exec, TCrowdState* state) {
   const double eps = state->options.epsilon;
   const double prior_var = state->options.prior_variance;
@@ -176,12 +141,14 @@ double RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
   int rows = state->num_rows;
   int cols = state->num_cols;
   std::vector<double> row_ll(static_cast<size_t>(rows), 0.0);
+  const int32_t* ccol = layout.cm_col();
+  const int32_t* cworker = layout.cm_worker();
+  const double* cnumber = layout.cm_number();
+  const int32_t* clabel = layout.cm_label();
   auto process_row = [&](size_t row) {
     int i = static_cast<int>(row);
-    // Reused across rows per worker thread: the E-step is the hottest loop,
-    // so it must not pay a heap allocation per (row, iteration).
-    static thread_local std::vector<SegRowCursor> cur;
-    CollectRowCursors(snap, i, &cur);
+    size_t pos = layout.row_begin(i);
+    const size_t end = layout.row_begin(i + 1);
     double ll = 0.0;
     for (int j = 0; j < cols; ++j) {
       CellPosterior& post =
@@ -197,21 +164,15 @@ double RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
         double sum_log_s = 0.0;
         double sum_z2_over_s = 0.0;
         int n = 0;
-        for (SegRowCursor& c : cur) {
-          const int32_t* ccol = c.seg->cm_col();
-          const int32_t* cworker = c.seg->cm_worker();
-          const double* cnumber = c.seg->cm_number();
-          while (c.pos < c.end && ccol[c.pos] == j) {
-            double s = xp.alpha[i] * xp.beta[j] * xp.phi[cworker[c.pos]];
-            s = std::max(s, math::Normal::kVarianceFloor);
-            double z = cnumber[c.pos];
-            precision += 1.0 / s;
-            weighted += z / s;
-            sum_log_s += std::log(s);
-            sum_z2_over_s += z * z / s;
-            ++n;
-            ++c.pos;
-          }
+        for (; pos < end && ccol[pos] == j; ++pos) {
+          double s = xp.alpha[i] * xp.beta[j] * xp.phi[cworker[pos]];
+          s = std::max(s, math::Normal::kVarianceFloor);
+          double z = cnumber[pos];
+          precision += 1.0 / s;
+          weighted += z / s;
+          sum_log_s += std::log(s);
+          sum_z2_over_s += z * z / s;
+          ++n;
         }
         double t_var = 1.0 / precision;
         double t_mu = weighted * t_var;
@@ -231,21 +192,15 @@ double RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
         int L = col.num_labels();
         std::vector<double> log_p(L, 0.0);  // uniform prior cancels
         bool answered = false;
-        for (SegRowCursor& c : cur) {
-          const int32_t* ccol = c.seg->cm_col();
-          const int32_t* cworker = c.seg->cm_worker();
-          const int32_t* clabel = c.seg->cm_label();
-          while (c.pos < c.end && ccol[c.pos] == j) {
-            double s = xp.alpha[i] * xp.beta[j] * xp.phi[cworker[c.pos]];
-            double q = ClampProb(Erf(eps / std::sqrt(2.0 * s)));
-            double log_q = std::log(q);
-            double log_wrong = std::log((1.0 - q) / std::max(1, L - 1));
-            for (int z = 0; z < L; ++z) {
-              log_p[z] += (z == clabel[c.pos]) ? log_q : log_wrong;
-            }
-            answered = true;
-            ++c.pos;
+        for (; pos < end && ccol[pos] == j; ++pos) {
+          double s = xp.alpha[i] * xp.beta[j] * xp.phi[cworker[pos]];
+          double q = ClampProb(Erf(eps / std::sqrt(2.0 * s)));
+          double log_q = std::log(q);
+          double log_wrong = std::log((1.0 - q) / std::max(1, L - 1));
+          for (int z = 0; z < L; ++z) {
+            log_p[z] += (z == clabel[pos]) ? log_q : log_wrong;
           }
+          answered = true;
         }
         // The marginal puts the uniform prior 1/L back in.
         double log_norm = math::SoftmaxInPlace(&log_p);
@@ -265,64 +220,29 @@ double RunEStep(const Schema& schema, const AnswerMatrixSnapshot& snap,
 
 TCrowdState TCrowdModel::Fit(const Schema& schema,
                              const AnswerSet& answers) const {
-  return Fit(schema, answers, static_cast<EmExecutor*>(nullptr));
-}
-
-TCrowdState TCrowdModel::Fit(const Schema& schema, const AnswerSet& answers,
-                             EmExecutor* executor) const {
   TCROWD_CHECK(schema.num_columns() == answers.num_cols())
       << "schema/answers column mismatch";
-  // The flat batch layout is just the single-segment special case of the
-  // segmented snapshot: compute the column mask, the standardization
-  // epoch, and the first-appearance worker registry over the whole log,
-  // seal one segment, and run the shared segmented EM core.
-  AnswerMatrixSnapshot snap;
-  snap.num_rows = answers.num_rows();
-  snap.num_cols = answers.num_cols();
-  snap.column_active = ActiveColumns(snap.num_cols);
-
-  const Answer* log = answers.answers().data();
-  std::unordered_map<WorkerId, int> worker_to_dense;
-  BuildWorkerRegistry(log, answers.size(), &snap.worker_ids,
-                      &worker_to_dense);
-  ComputeColumnStandardization(schema,
-                               CollectColumnValues(schema, log,
-                                                   answers.size()),
-                               &snap.col_center, &snap.col_scale);
-
-  snap.offsets.push_back(0);
-  if (!answers.empty()) {
-    snap.segments.push_back(AnswerSegment::Build(
-        schema, snap.column_active, snap.col_center, snap.col_scale,
-        answers.answers().data(), answers.size(), worker_to_dense));
-    snap.offsets.push_back(answers.size());
-  }
-  return Fit(schema, snap, executor);
-}
-
-TCrowdState TCrowdModel::Fit(const Schema& schema,
-                             const AnswerMatrixSnapshot& snap,
-                             EmExecutor* executor) const {
-  TCROWD_CHECK(schema.num_columns() == snap.num_cols)
-      << "schema/snapshot column mismatch";
   TCrowdState state;
   state.schema = schema;
-  state.num_rows = snap.num_rows;
-  state.num_cols = snap.num_cols;
+  state.num_rows = answers.num_rows();
+  state.num_cols = answers.num_cols();
   state.options = options_;
-  state.col_center = snap.col_center;
-  state.col_scale = snap.col_scale;
+  state.column_active.resize(state.num_cols);
+  for (int j = 0; j < state.num_cols; ++j) {
+    state.column_active[j] =
+        !only_type_.has_value() || schema.column(j).type == *only_type_;
+  }
+  const AnswerSegment answer_layout(schema, state.column_active, answers);
+  state.col_center = answer_layout.col_center();
+  state.col_scale = answer_layout.col_scale();
   state.posteriors.assign(
       static_cast<size_t>(state.num_rows) * state.num_cols, CellPosterior{});
   state.default_phi = options_.initial_phi;
-  state.column_active = snap.column_active;
-  TCROWD_CHECK(state.column_active == ActiveColumns(state.num_cols))
-      << "snapshot column mask does not match the model's options";
 
   ParamLayout layout;
   layout.num_rows = state.num_rows;
   layout.num_cols = state.num_cols;
-  layout.num_workers = snap.num_workers();
+  layout.num_workers = static_cast<int>(answer_layout.worker_ids().size());
   layout.with_alpha = options_.estimate_row_difficulty;
   layout.with_beta = options_.estimate_col_difficulty;
 
@@ -331,21 +251,14 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
     params[layout.phi_offset() + w] = std::log(options_.initial_phi);
   }
 
-  // A caller-provided executor carries the persistent pool and scratch; the
-  // batch path falls back to a transient one (serial unless num_threads
-  // asks for shards).
-  std::unique_ptr<EmExecutor> own_executor;
-  if (executor == nullptr) {
-    own_executor = std::make_unique<EmExecutor>(options_.num_threads);
-    executor = own_executor.get();
-  }
+  EmExecutor executor(options_.num_threads);
 
   ExpParams xp;
   xp.Refresh(layout, params);
 
   // Initial E-step with neutral difficulties and uniform worker quality
   // (equivalent to frequency/mean-based initialization).
-  RunEStep(schema, snap, xp, executor, &state);
+  RunEStep(schema, answer_layout, xp, &executor, &state);
 
   const double inv_diff_var =
       1.0 / (options_.log_difficulty_prior_stddev *
@@ -356,7 +269,7 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   const double log_phi0 = std::log(options_.initial_phi);
   const double eps = options_.epsilon;
 
-  const size_t num_answers = snap.num_answers();
+  const size_t num_answers = answer_layout.size();
 
   // Per-column constants the M-step needs per answer.
   std::vector<int> col_labels(state.num_cols, 0);
@@ -422,82 +335,72 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
     gh->assign(2 * num_params, 0.0);
     mxp.Refresh(layout, p);
 
-    // Per-answer accumulation in global answer-id order (segments streamed
-    // back to back); sharded over the executor with one scratch buffer per
-    // shard and a tree reduction.
+    // Per-answer accumulation in log order over [lo, hi) of the answer-order
+    // view; sharded over the executor with one scratch buffer per shard and
+    // a tree reduction.
     auto accumulate = [&](size_t lo, size_t hi, double* g_out,
                           double* val_out) {
       double* h_out = g_out + num_params;
-      size_t s = static_cast<size_t>(
-                     std::upper_bound(snap.offsets.begin(),
-                                      snap.offsets.end(), lo) -
-                     snap.offsets.begin()) -
-                 1;
-      for (; s < snap.segments.size() && snap.offsets[s] < hi; ++s) {
-        const AnswerSegment& seg = *snap.segments[s];
-        const int32_t* a_row = seg.ans_row();
-        const int32_t* a_col = seg.ans_col();
-        const int32_t* a_worker = seg.ans_worker();
-        const double* a_number = seg.ans_number();
-        const int32_t* a_label = seg.ans_label();
-        const uint8_t* a_active = seg.ans_active();
-        const uint8_t* a_continuous = seg.ans_continuous();
-        size_t seg_lo = std::max(lo, snap.offsets[s]) - snap.offsets[s];
-        size_t seg_hi = std::min(hi, snap.offsets[s + 1]) - snap.offsets[s];
-        for (size_t idx = seg_lo; idx < seg_hi; ++idx) {
-          if (!a_active[idx]) continue;
-          int i = a_row[idx];
-          int j = a_col[idx];
-          int w = a_worker[idx];
-          double s_var = mxp.alpha[i] * mxp.beta[j] * mxp.phi[w];
-          s_var = std::max(s_var, math::Normal::kVarianceFloor);
-          const CellPosterior& post =
-              state.posteriors[static_cast<size_t>(i) * state.num_cols + j];
-          double g;  // d(term)/d(ln s)
-          double h;  // -d^2(term)/d(ln s)^2, or its Gauss-Newton stand-in
-          if (a_continuous[idx]) {
-            double z = a_number[idx];
-            double t_mu = state.Standardize(j, post.mean);
-            double t_var = post.variance /
-                           (state.col_scale[j] * state.col_scale[j]);
-            double resid = (z - t_mu) * (z - t_mu) + t_var;
-            *val_out +=
-                -0.5 * std::log(2.0 * M_PI * s_var) - resid / (2.0 * s_var);
-            h = resid / (2.0 * s_var);
-            g = -0.5 + h;
-          } else {
-            int L = col_labels[j];
-            double x = eps / std::sqrt(2.0 * s_var);
-            double q = ClampProb(Erf(x));
-            double p_match = post.probs.empty()
-                                 ? 1.0 / L
-                                 : post.probs[a_label[idx]];
-            *val_out += p_match * std::log(q) +
-                        (1.0 - p_match) *
-                            std::log((1.0 - q) / std::max(1, L - 1));
-            // dq/d(ln s) = -(x / sqrt(pi)) * exp(-x^2).
-            double dq_dlns = -(x / std::sqrt(M_PI)) * std::exp(-x * x);
-            g = (p_match / q - (1.0 - p_match) / (1.0 - q)) * dq_dlns;
-            h = (p_match / (q * q) +
-                 (1.0 - p_match) / ((1.0 - q) * (1.0 - q))) *
-                dq_dlns * dq_dlns;
-          }
-          if (layout.with_alpha) {
-            g_out[layout.alpha_offset() + i] += g;
-            h_out[layout.alpha_offset() + i] += h;
-          }
-          if (layout.with_beta) {
-            g_out[layout.beta_offset() + j] += g;
-            h_out[layout.beta_offset() + j] += h;
-          }
-          g_out[layout.phi_offset() + w] += g;
-          h_out[layout.phi_offset() + w] += h;
+      const int32_t* a_row = answer_layout.ans_row();
+      const int32_t* a_col = answer_layout.ans_col();
+      const int32_t* a_worker = answer_layout.ans_worker();
+      const double* a_number = answer_layout.ans_number();
+      const int32_t* a_label = answer_layout.ans_label();
+      const uint8_t* a_active = answer_layout.ans_active();
+      const uint8_t* a_continuous = answer_layout.ans_continuous();
+      for (size_t idx = lo; idx < hi; ++idx) {
+        if (!a_active[idx]) continue;
+        int i = a_row[idx];
+        int j = a_col[idx];
+        int w = a_worker[idx];
+        double s_var = mxp.alpha[i] * mxp.beta[j] * mxp.phi[w];
+        s_var = std::max(s_var, math::Normal::kVarianceFloor);
+        const CellPosterior& post =
+            state.posteriors[static_cast<size_t>(i) * state.num_cols + j];
+        double g;  // d(term)/d(ln s)
+        double h;  // -d^2(term)/d(ln s)^2, or its Gauss-Newton stand-in
+        if (a_continuous[idx]) {
+          double z = a_number[idx];
+          double t_mu = state.Standardize(j, post.mean);
+          double t_var = post.variance /
+                         (state.col_scale[j] * state.col_scale[j]);
+          double resid = (z - t_mu) * (z - t_mu) + t_var;
+          *val_out +=
+              -0.5 * std::log(2.0 * M_PI * s_var) - resid / (2.0 * s_var);
+          h = resid / (2.0 * s_var);
+          g = -0.5 + h;
+        } else {
+          int L = col_labels[j];
+          double x = eps / std::sqrt(2.0 * s_var);
+          double q = ClampProb(Erf(x));
+          double p_match = post.probs.empty()
+                               ? 1.0 / L
+                               : post.probs[a_label[idx]];
+          *val_out += p_match * std::log(q) +
+                      (1.0 - p_match) *
+                          std::log((1.0 - q) / std::max(1, L - 1));
+          // dq/d(ln s) = -(x / sqrt(pi)) * exp(-x^2).
+          double dq_dlns = -(x / std::sqrt(M_PI)) * std::exp(-x * x);
+          g = (p_match / q - (1.0 - p_match) / (1.0 - q)) * dq_dlns;
+          h = (p_match / (q * q) +
+               (1.0 - p_match) / ((1.0 - q) * (1.0 - q))) *
+              dq_dlns * dq_dlns;
         }
+        if (layout.with_alpha) {
+          g_out[layout.alpha_offset() + i] += g;
+          h_out[layout.alpha_offset() + i] += h;
+        }
+        if (layout.with_beta) {
+          g_out[layout.beta_offset() + j] += g;
+          h_out[layout.beta_offset() + j] += h;
+        }
+        g_out[layout.phi_offset() + w] += g;
+        h_out[layout.phi_offset() + w] += h;
       }
     };
 
-    double q_val = executor->AccumulateSharded(num_answers, gh->size(),
-                                               accumulate, gh);
+    double q_val = executor.AccumulateSharded(num_answers, gh->size(),
+                                              accumulate, gh);
     // MAP regularizers keep rarely-observed parameters near neutral; their
     // curvature keeps every h_k > 0.
     subtract_log_prior(p, &q_val);
@@ -588,7 +491,7 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
     // prior terms is the quantity EM never decreases: the convergence
     // trace of Fig. 12a.
     xp.Refresh(layout, params);
-    double objective = RunEStep(schema, snap, xp, executor, &state);
+    double objective = RunEStep(schema, answer_layout, xp, &executor, &state);
     subtract_log_prior(params, &objective);
     state.objective_trace.push_back(objective);
     size_t n_trace = state.objective_trace.size();
@@ -617,7 +520,7 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   state.row_difficulty = xp.alpha;
   state.col_difficulty = xp.beta;
   for (int w = 0; w < layout.num_workers; ++w) {
-    state.worker_phi[snap.worker_ids[w]] = xp.phi[w];
+    state.worker_phi[answer_layout.worker_ids()[w]] = xp.phi[w];
   }
   if (!xp.phi.empty()) state.default_phi = math::Median(xp.phi);
   return state;

@@ -1,6 +1,7 @@
 #ifndef TCROWD_INFERENCE_TCROWD_MODEL_H_
 #define TCROWD_INFERENCE_TCROWD_MODEL_H_
 
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -8,9 +9,6 @@
 #include "inference/inference_result.h"
 
 namespace tcrowd {
-
-class EmExecutor;
-struct AnswerMatrixSnapshot;
 
 /// Tuning knobs of the T-Crowd truth-inference EM (paper Section 4).
 struct TCrowdOptions {
@@ -34,11 +32,6 @@ struct TCrowdOptions {
   bool estimate_row_difficulty = true;
   bool estimate_col_difficulty = true;
 
-  /// If non-empty, only these column indices participate (answers in other
-  /// columns are ignored). Used for the paper's TC-onlyCate / TC-onlyCont
-  /// restricted variants.
-  std::vector<int> column_mask;
-
   /// Variance of the standardized Gaussian prior over continuous truths
   /// (the paper's Prior(T_ij) = N(mu_0j, phi_0j)); weak by default.
   double prior_variance = 4.0;
@@ -61,10 +54,9 @@ struct TCrowdOptions {
 
   /// Threads used to parallelize the E-step and the M-step objective (the
   /// parallel/distributed inference the paper lists as future work in its
-  /// Section 7). 1 = serial. Results are deterministic for a fixed thread
-  /// count; across thread counts they agree to floating-point reduction
-  /// order. Ignored when Fit() is handed a persistent EmExecutor — the
-  /// executor's shard count governs then.
+  /// Section 7): every fit runs on an EmExecutor of this many shards.
+  /// 1 = serial. Results are deterministic for a fixed thread count; across
+  /// thread counts they agree to floating-point reduction order.
   int num_threads = 1;
 
   /// Cheaper settings for the inner loop of task-assignment experiments,
@@ -147,50 +139,32 @@ class TCrowdModel : public TruthInference {
   InferenceResult Infer(const Schema& schema,
                         const AnswerSet& answers) const override;
 
-  /// Full fit, exposing the state task assignment needs. Spawns a transient
-  /// EmExecutor when options().num_threads > 1 (serial otherwise).
+  /// Full fit, exposing the state task assignment needs. Lays the answers
+  /// out once (an AnswerSegment) and runs the EM on an EmExecutor of
+  /// options().num_threads shards. Blocks until the EM stops.
   TCrowdState Fit(const Schema& schema, const AnswerSet& answers) const;
-
-  /// Full fit on a caller-provided persistent executor, so repeated fits
-  /// never spawn threads. The executor's shard count overrides
-  /// options().num_threads; pass nullptr for the transient behavior of the
-  /// two-argument overload. Blocks until converged; the executor must not
-  /// be driven by another fit concurrently.
-  TCrowdState Fit(const Schema& schema, const AnswerSet& answers,
-                  EmExecutor* executor) const;
-
-  /// Full fit streaming a segmented answer snapshot (a
-  /// SegmentedAnswerStore's segment pointers instead of a copied matrix).
-  /// The EM visits every answer in the same order as the flat batch path, so a
-  /// fit over N segments is bit-identical to a fit over one segment holding
-  /// the same answers. The snapshot's standardization epoch and column mask
-  /// are used as-is; the mask must match this model's options. Blocks until
-  /// converged; pass executor = nullptr for a transient serial executor.
-  TCrowdState Fit(const Schema& schema, const AnswerMatrixSnapshot& snapshot,
-                  EmExecutor* executor) const;
-
-  /// Per-column participation mask implied by options().column_mask (all
-  /// columns when the mask is empty). A snapshot fit needs segments sealed
-  /// under this mask.
-  std::vector<bool> ActiveColumns(int num_cols) const;
 
   /// Converts a fitted state to the plain result interface.
   static InferenceResult StateToResult(const TCrowdState& state);
 
   const TCrowdOptions& options() const { return options_; }
 
-  /// Factory helpers for the paper's restricted variants. They keep the full
-  /// schema but mask the other datatype's columns out of the model.
-  static TCrowdModel OnlyCategorical(const Schema& schema,
-                                     TCrowdOptions options = TCrowdOptions());
-  static TCrowdModel OnlyContinuous(const Schema& schema,
-                                    TCrowdOptions options = TCrowdOptions());
+  /// Factory helpers for the paper's restricted variants (TC-onlyCate,
+  /// TC-onlyCont). They keep the full schema but leave the other datatype's
+  /// columns out of the model: answers there are ignored and their cells
+  /// are not estimated. On a table without their datatype they estimate
+  /// nothing.
+  static TCrowdModel OnlyCategorical(TCrowdOptions options = TCrowdOptions());
+  static TCrowdModel OnlyContinuous(TCrowdOptions options = TCrowdOptions());
 
  private:
-  TCrowdModel(TCrowdOptions options, std::string name);
+  TCrowdModel(TCrowdOptions options, std::string name, ColumnType only_type);
 
   TCrowdOptions options_;
   std::string name_ = "T-Crowd";
+  /// The one datatype a restricted variant models; unset for the full
+  /// model.
+  std::optional<ColumnType> only_type_;
 };
 
 }  // namespace tcrowd

@@ -421,7 +421,7 @@ std::vector<Status> CrowdService::SubmitAnswerBatch(
     record();
   }
   // One engine hand-off for the whole page: the accepted answers enter the
-  // ingest queue in batch order and drain into the tail segment together.
+  // ingest queue in batch order and drain into the answer log together.
   if (!accepted.empty()) {
     engine_->SubmitAnswerBatch(accepted.data(), accepted.size());
   }

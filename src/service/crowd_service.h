@@ -219,8 +219,8 @@ class CrowdService : public ServingBackend {
       const std::vector<std::pair<CellRef, Value>>& items) override;
 
   /// Retracts the newest accepted answer `worker` gave on `cell` — the
-  /// online tombstone path: the engine tombstones the answer in its
-  /// segmented store (journaling a durable retraction record when
+  /// online retraction path: the engine marks the answer dead in its
+  /// answer log (journaling a durable retraction record when
   /// checkpointing is on), the service ledger refunds the answer's budget
   /// spend/commitment, and a task that only reached its target thanks to
   /// the retracted answer is un-finalized so the router can backfill it.

@@ -1,6 +1,7 @@
 #include "service/incremental_engine.h"
 
 #include <algorithm>
+#include <optional>
 #include <utility>
 
 #include "common/logging.h"
@@ -42,14 +43,10 @@ IncrementalInferenceEngine::IncrementalInferenceEngine(const Schema& schema,
       num_rows_(num_rows),
       args_(Normalize(std::move(args))),
       pool_(pool),
-      method_(BatchMethod(schema, args_)),
-      store_(schema, num_rows, std::vector<bool>(schema.num_columns(), true),
-             args_.store) {
+      method_(BatchMethod(args_)),
+      store_(num_rows, schema.num_columns()) {
   TCROWD_CHECK(method_ != nullptr)
       << "unknown inference method " << args_.method;
-  TCROWD_CHECK(num_rows_ > 0);
-  TCROWD_CHECK(schema_.num_columns() > 0);
-  cell_live_.resize(static_cast<size_t>(num_rows_) * schema_.num_columns());
   if (args_.checkpoint.enabled()) RestoreFromCheckpoint();
 }
 
@@ -60,8 +57,6 @@ void IncrementalInferenceEngine::DisableCheckpointing(const Status& error,
                       << " — serving continues from memory only";
   if (checkpoint_status_.ok()) checkpoint_status_ = error;
   snapshot_.reset();
-  unsealed_log_.clear();
-  unsealed_log_.shrink_to_fit();
 }
 
 void IncrementalInferenceEngine::RestoreFromCheckpoint() {
@@ -110,59 +105,28 @@ void IncrementalInferenceEngine::RestoreFromCheckpoint() {
       return;
     }
   }
-  // Replay the durable log into the in-memory store, re-sealing at each
-  // durable segment boundary (compaction thresholds may merge them — that
-  // only changes in-memory layout, never the chronological log). Journal
-  // answers stay in the tail, exactly as they were before the crash.
-  // Durably retracted answers are filtered out while replaying: the store
-  // holds live answers only, and Finalize() then materializes the exact
-  // chronological live sequence the uninterrupted run would — which is
-  // what keeps restore-then-Finalize bit-identical even when the crash
-  // fell between a retraction and the seal that folds it.
-  const std::vector<uint64_t>& dead = log.retracted_ids;  // sorted, deduped
-  auto is_dead = [&dead](size_t id) {
-    return std::binary_search(dead.begin(), dead.end(),
-                              static_cast<uint64_t>(id));
-  };
-  size_t offset = 0;
-  std::vector<Answer> live_buf;
-  for (size_t sz : log.segment_sizes) {
-    live_buf.clear();
-    for (size_t k = offset; k < offset + sz; ++k) {
-      if (!is_dead(k)) live_buf.push_back(log.answers[k]);
-    }
-    store_.AppendBatch(live_buf.data(), live_buf.size());
-    store_.SealAndSnapshot();
-    offset += sz;
-  }
-  for (size_t k = offset; k < log.answers.size(); ++k) {
-    if (!is_dead(k)) store_.Append(log.answers[k]);
-  }
-  for (size_t k = 0; k < log.answers.size(); ++k) {
-    if (is_dead(k)) continue;
-    const Answer& a = log.answers[k];
-    cell_live_[static_cast<size_t>(a.cell.row) * schema_.num_columns() +
-               a.cell.col]
-        .push_back(CellLogEntry{k, a.worker});
-  }
-  // Log-space bookkeeping: log ids keep counting from the durable total;
-  // the unfiltered journal tail is what the next persist seals.
-  log_size_ = log.answers.size();
-  applied_dead_.assign(dead.begin(), dead.end());
-  unsealed_log_.assign(log.answers.begin() + log.sealed_answers,
-                       log.answers.end());
-  restored_ = log.answers.size() - dead.size();
-  restored_retractions_ = dead.size();
+  // The store takes the durable log as it is on disk: log ids keep
+  // counting from the durable total, durable retractions are dead in
+  // place, and the journal tail past the sealed prefix is what the next
+  // seal persists. Finalize() then materializes the exact live sequence
+  // the uninterrupted run would, even when the crash fell between a
+  // retraction and the seal that folds it.
+  restored_retractions_ = log.retracted_ids.size();
+  store_.Restore(std::move(log.answers), log.retracted_ids,
+                 log.sealed_answers);
+  restored_ = store_.size();
 }
 
 IncrementalInferenceEngine::~IncrementalInferenceEngine() {
   std::unique_lock<std::mutex> lock(mu_);
   shutdown_ = true;
   refresh_done_.wait(lock, [this] { return !refresh_in_flight_; });
+  // A clean shutdown journals what the queue still holds.
+  DrainIngestLocked();
 }
 
 std::unique_ptr<TruthInference> IncrementalInferenceEngine::BatchMethod(
-    const Schema& schema, const InferenceArgs& args) {
+    const InferenceArgs& args) {
   TCrowdOptions options = args.tcrowd_options;
   options.num_threads =
       std::max(options.num_threads, std::max(1, args.num_shards));
@@ -170,11 +134,11 @@ std::unique_ptr<TruthInference> IncrementalInferenceEngine::BatchMethod(
   if (m == "tcrowd") return std::make_unique<TCrowdModel>(options);
   if (m == "tc-onlycate") {
     return std::make_unique<TCrowdModel>(
-        TCrowdModel::OnlyCategorical(schema, options));
+        TCrowdModel::OnlyCategorical(options));
   }
   if (m == "tc-onlycont") {
     return std::make_unique<TCrowdModel>(
-        TCrowdModel::OnlyContinuous(schema, options));
+        TCrowdModel::OnlyContinuous(options));
   }
   if (m == "mv") return std::make_unique<MajorityVoting>();
   if (m == "median") return std::make_unique<MedianInference>();
@@ -194,22 +158,13 @@ void IncrementalInferenceEngine::DrainIngestLocked() {
     batch.swap(ingest_);
   }
   if (batch.empty()) return;
-  // One pass: append to the store's tail segment under a single
-  // acquisition of the engine mutex. Journal records are tagged with LOG
-  // ids, not store ids: retractions may have renumbered the store, but the
-  // durable log is append-only.
-  size_t base = log_size_;
-  for (const Answer& answer : batch) {
-    store_.Append(answer);
-    cell_live_[static_cast<size_t>(answer.cell.row) * schema_.num_columns() +
-               answer.cell.col]
-        .push_back(CellLogEntry{log_size_, answer.worker});
-    ++log_size_;
-  }
+  // One pass under a single acquisition of the engine mutex; the batch
+  // takes the next log ids, which are what the journal records.
+  uint64_t base = store_.log_size();
+  store_.AppendBatch(batch.data(), batch.size());
   answers_since_refresh_.fetch_add(static_cast<int>(batch.size()),
                                    std::memory_order_relaxed);
   if (snapshot_ != nullptr) {
-    unsealed_log_.insert(unsealed_log_.end(), batch.begin(), batch.end());
     // Durability boundary: once the journal append returns, everything
     // absorbed so far survives a crash. One framed record per drained
     // batch — the same amortization the ingest queue buys the lock.
@@ -221,12 +176,12 @@ void IncrementalInferenceEngine::DrainIngestLocked() {
 bool IncrementalInferenceEngine::StaleLocked() const {
   return answers_since_refresh() >= args_.staleness_threshold ||
          (refresh_count() == 0 &&
-          static_cast<int>(store_.size()) >= args_.min_answers_for_fit);
+          store_.log_size() >= static_cast<size_t>(args_.min_answers_for_fit));
 }
 
 void IncrementalInferenceEngine::ScheduleRefreshLocked() {
   if (shutdown_ ||
-      static_cast<int>(store_.size()) < args_.min_answers_for_fit) {
+      store_.log_size() < static_cast<size_t>(args_.min_answers_for_fit)) {
     return;
   }
   if (refresh_in_flight_) {
@@ -292,16 +247,19 @@ void IncrementalInferenceEngine::RequestRefresh() {
 
 void IncrementalInferenceEngine::SealLocked() {
   DrainIngestLocked();
-  // Seal the tail (O(new answers)); every previously sealed segment is
-  // reused as is.
-  size_t sealed = store_.SealAndSnapshot().num_answers();
-  AbsorbAppliedTombstonesLocked();
   // Checkpoint-on-seal: the newly sealed slice goes to disk exactly once,
-  // while it is still O(answers since the last refresh).
-  PersistSealedLocked();
-  TCROWD_TRACE(kSeal, kInfo, "refresh seal", sealed,
+  // while it is still O(answers since the last refresh). It holds the
+  // retracted answers too: on disk they stay in place, and the retraction
+  // records (folded into the manifest by this persist) mark them dead.
+  SegmentedAnswerStore::Slice slice = store_.Seal();
+  if (snapshot_ != nullptr && slice.size > 0) {
+    Status st = snapshot_->PersistSealed(slice.answers, slice.size);
+    if (!st.ok()) DisableCheckpointing(st, "segment persist");
+  }
+  size_t live = store_.size();
+  TCROWD_TRACE(kSeal, kInfo, "refresh seal", live,
                static_cast<uint64_t>(refresh_count()));
-  if (args_.recorder != nullptr) args_.recorder->RecordSeal(sealed);
+  if (args_.recorder != nullptr) args_.recorder->RecordSeal(live);
 }
 
 void IncrementalInferenceEngine::RunRefresh() {
@@ -310,7 +268,7 @@ void IncrementalInferenceEngine::RunRefresh() {
     SealLocked();
     refresh_count_.fetch_add(1, std::memory_order_relaxed);
     if (!refresh_pending_) break;
-    // Coalesced requests: exactly one more pass over the new tail;
+    // Coalesced requests: exactly one more pass over the new slice;
     // refresh_in_flight_ stays set so waiters keep waiting.
     refresh_pending_ = false;
     answers_since_refresh_.store(0, std::memory_order_relaxed);
@@ -321,46 +279,6 @@ void IncrementalInferenceEngine::RunRefresh() {
   refresh_done_.notify_all();
 }
 
-void IncrementalInferenceEngine::PersistSealedLocked() {
-  if (snapshot_ == nullptr) return;
-  if (unsealed_log_.empty()) return;
-  // The durable log is append-only in log-id space: the newly sealed slice
-  // is the unfiltered answers drained since the last persist, NOT a copy
-  // from the store — a seal may have scrubbed retracted answers out of the
-  // in-memory numbering, but on disk they stay in place and the retraction
-  // records (folded into the manifest by this persist) mark them dead.
-  Status st =
-      snapshot_->PersistSealed(unsealed_log_.data(), unsealed_log_.size());
-  if (!st.ok()) {
-    DisableCheckpointing(st, "segment persist");
-    return;
-  }
-  unsealed_log_.clear();
-}
-
-void IncrementalInferenceEngine::AbsorbAppliedTombstonesLocked() {
-  if (!pending_dead_.empty()) {
-    std::sort(pending_dead_.begin(), pending_dead_.end());
-    size_t mid = applied_dead_.size();
-    applied_dead_.insert(applied_dead_.end(), pending_dead_.begin(),
-                         pending_dead_.end());
-    std::inplace_merge(applied_dead_.begin(), applied_dead_.begin() + mid,
-                       applied_dead_.end());
-    pending_dead_.clear();
-  }
-  // The store now holds exactly the live log (tail included): every
-  // retraction ever accepted has been renumbered away by the seal.
-  TCROWD_CHECK(store_.size() ==
-               static_cast<size_t>(log_size_) - applied_dead_.size());
-}
-
-size_t IncrementalInferenceEngine::StoreIdForLocked(uint64_t log_id) const {
-  size_t applied_before = static_cast<size_t>(
-      std::lower_bound(applied_dead_.begin(), applied_dead_.end(), log_id) -
-      applied_dead_.begin());
-  return static_cast<size_t>(log_id) - applied_before;
-}
-
 Status IncrementalInferenceEngine::RetractAnswer(WorkerId worker,
                                                  CellRef cell) {
   std::lock_guard<std::mutex> lock(mu_);
@@ -369,29 +287,16 @@ Status IncrementalInferenceEngine::RetractAnswer(WorkerId worker,
     return Status::InvalidArgument("retract: cell out of range");
   }
   DrainIngestLocked();  // the target answer may still be queued
-  auto& entries =
-      cell_live_[static_cast<size_t>(cell.row) * schema_.num_columns() +
-                 cell.col];
-  size_t pos = entries.size();
-  for (size_t k = entries.size(); k-- > 0;) {
-    if (entries[k].worker == worker) {
-      pos = k;
-      break;
-    }
-  }
-  if (pos == entries.size()) {
+  std::optional<uint64_t> log_id = store_.RetractNewest(worker, cell);
+  if (!log_id.has_value()) {
     return Status::NotFound("retract: worker has no live answer on this cell");
   }
-  uint64_t log_id = entries[pos].log_id;
-  entries.erase(entries.begin() + pos);
-  store_.Tombstone(StoreIdForLocked(log_id));
-  pending_dead_.push_back(log_id);
   ++retractions_total_;
   // A retraction is as staleness-relevant as an answer: the next seal
-  // scrubs it out of the store.
+  // folds it into the durable manifest.
   answers_since_refresh_.fetch_add(1, std::memory_order_relaxed);
   if (snapshot_ != nullptr) {
-    Status st = snapshot_->JournalRetract(log_id);
+    Status st = snapshot_->JournalRetract(*log_id);
     if (!st.ok()) DisableCheckpointing(st, "journal retract");
   }
   if (StaleLocked() && !refresh_in_flight_) ScheduleRefreshLocked();

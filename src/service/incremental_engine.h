@@ -35,7 +35,7 @@ struct InferenceArgs {
   /// Model knobs for the T-Crowd EM (ignored by baseline methods).
   TCrowdOptions tcrowd_options = TCrowdOptions::Fast();
 
-  /// A refresh (seal + checkpoint of the new tail) is scheduled once this
+  /// A refresh (seal + checkpoint of the new slice) is scheduled once this
   /// many answers have been absorbed since the last (started) refresh.
   int staleness_threshold = 64;
 
@@ -48,20 +48,16 @@ struct InferenceArgs {
   /// when clear (or no pool is given), refreshes run inline.
   bool async_refresh = true;
 
-  /// Answers the store must hold before any refresh runs; the first
-  /// refresh is scheduled as soon as it holds this many.
+  /// Answers the log must have accepted (retracted ones included) before
+  /// any refresh runs; the first refresh is scheduled as soon as it has.
   int min_answers_for_fit = 8;
 
   /// Submitted answers buffer in the engine's ingest queue and are drained
-  /// into the answer store's tail segment in one pass once this many are
-  /// queued (or earlier, when a staleness crossing / read needs them) —
-  /// amortizing the engine lock and the journal append over the batch
-  /// instead of locking per answer. 1 restores per-answer absorption.
+  /// into the answer log in one pass once this many are queued (or
+  /// earlier, when a staleness crossing / read needs them) — amortizing
+  /// the engine lock and the journal append over the batch instead of
+  /// locking per answer. 1 restores per-answer absorption.
   int ingest_batch_size = 32;
-
-  /// Segment substrate tuning: compaction thresholds of the engine-owned
-  /// SegmentedAnswerStore (fragmentation, epoch growth, tombstones).
-  SegmentedAnswerStore::Options store;
 
   /// Durable segment persistence (docs/PERSISTENCE.md). When a directory is
   /// set, the engine restores the answer log from it at construction,
@@ -71,29 +67,27 @@ struct InferenceArgs {
   CheckpointArgs checkpoint;
 
   /// Event recorder (unowned, nullable): the engine records a kSeal event
-  /// after each tail seal. CrowdService plumbs its configured recorder in
+  /// after each seal. CrowdService plumbs its configured recorder in
   /// here; seals are informational for replay but load-bearing for
   /// incident forensics.
   EventRecorder* recorder = nullptr;
 };
 
-/// The service's answer log: owns the growing segmented answer store (the
-/// service's single indexed copy — every consumer reads it from here
-/// instead of re-indexing answer logs), absorbs answers batch-wise, seals
-/// and checkpoints the new tail whenever staleness crosses the refresh
-/// threshold, and runs the batch method over the live log at Finalize().
+/// The service's answer log: owns the SegmentedAnswerStore, absorbs
+/// answers batch-wise, seals and checkpoints the new slice of the log
+/// whenever staleness crosses the refresh threshold, and runs the batch
+/// method over the live log at Finalize().
 ///
 /// The answer path (see docs/DATA_LIFECYCLE.md):
 ///
-///   SubmitAnswer/SubmitAnswerBatch -> ingest queue -> (drain) tail segment
-///   -> refresh: SealAndSnapshot() seals the tail, the slice is persisted
+///   SubmitAnswer/SubmitAnswerBatch -> ingest queue -> (drain) answer log
+///   -> refresh: Seal() hands over the new slice, which is persisted
 ///   -> Finalize(): BatchMethod(args) over the materialized live log
 ///
-/// A refresh seals ONLY the new tail (O(new answers)) — it never rebuilds
-/// previously sealed answers — and persists the newly sealed slice. Refresh
-/// requests arriving while a refresh is queued coalesce into exactly one
-/// follow-up refresh. The engine fits no model while serving: the
-/// assignment policies own the online T-Crowd model.
+/// A refresh touches ONLY the slice appended since the previous one
+/// (O(new answers)). Refresh requests arriving while a refresh is queued
+/// coalesce into exactly one follow-up refresh. The engine fits no model
+/// while serving: the assignment policies own the online T-Crowd model.
 ///
 /// Thread-safety: every public method may be called concurrently. Internal
 /// state is guarded by one engine mutex; the ingest queue has its own
@@ -108,7 +102,9 @@ class IncrementalInferenceEngine {
   /// unknown `args.method`.
   IncrementalInferenceEngine(const Schema& schema, int num_rows,
                              InferenceArgs args, ThreadPool* pool);
-  /// Blocks until any in-flight or coalesced-pending refresh has drained.
+  /// Blocks until any in-flight or coalesced-pending refresh has drained,
+  /// then drains the ingest queue, so a clean shutdown journals every
+  /// accepted answer.
   ~IncrementalInferenceEngine();
 
   IncrementalInferenceEngine(const IncrementalInferenceEngine&) = delete;
@@ -120,10 +116,10 @@ class IncrementalInferenceEngine {
   /// max(num_threads, num_shards)); null for an unknown name. Finalize()
   /// of the engine and of the ShardRouter run it over the live log.
   static std::unique_ptr<TruthInference> BatchMethod(
-      const Schema& schema, const InferenceArgs& args);
+      const InferenceArgs& args);
 
-  /// Queues the answer for ingestion. The queue is drained into the store's
-  /// tail segment — with one journal append per drained batch — when
+  /// Queues the answer for ingestion. The queue is drained into the answer
+  /// log — with one journal append per drained batch — when
   /// ingest_batch_size answers have gathered, when staleness crosses the
   /// refresh threshold, or when a read needs the answers. In async mode
   /// never blocks on a seal; in inline mode the staleness-crossing call
@@ -142,28 +138,28 @@ class IncrementalInferenceEngine {
   /// Non-blocking in async mode; runs the refresh inline otherwise.
   void RequestRefresh();
 
-  /// Retracts the newest live answer `worker` gave on `cell`: tombstones it
-  /// in the store (per-cell counts drop immediately; the physical removal
-  /// happens at the next seal), journals a durable retraction record when
-  /// checkpointing is on, and counts toward staleness. Finalize() never
-  /// sees a retracted answer. NotFound when the worker has no live answer
-  /// on the cell.
+  /// Retracts the newest live answer `worker` gave on `cell`: marks it dead
+  /// in the log, journals a durable retraction record when checkpointing
+  /// is on, and counts toward staleness. Finalize() never sees a retracted
+  /// answer. NotFound when the worker has no live answer on the cell.
   Status RetractAnswer(WorkerId worker, CellRef cell);
 
   /// Full export of the current answer log as a plain AnswerSet. O(total
   /// answers) by design. Drains the ingest queue first.
   AnswerSet SnapshotAnswers();
-  /// Number of answers absorbed so far (drains the ingest queue).
+  /// Live answers absorbed so far, retracted ones excluded (drains the
+  /// ingest queue).
   size_t num_answers();
 
   /// Blocks until no refresh is queued, running, or pending through
   /// coalescing.
   void WaitForRefresh();
 
-  /// Drains pending ingests, seals and checkpoints the tail (one refresh
-  /// pass), then runs BatchMethod(args) over the live answer log outside
-  /// the engine mutex and returns its result — the same call a batch fit
-  /// over SnapshotAnswers() makes, so the two agree bit for bit. Blocks.
+  /// Drains pending ingests, seals and checkpoints the new slice (one
+  /// refresh pass), then runs BatchMethod(args) over the live answer log
+  /// outside the engine mutex and returns its result — the same call a
+  /// batch fit over SnapshotAnswers() makes, so the two agree bit for bit.
+  /// Blocks.
   InferenceResult Finalize();
 
   /// Refresh passes run so far; lock-free.
@@ -177,9 +173,8 @@ class IncrementalInferenceEngine {
     return answers_since_refresh_.load(std::memory_order_relaxed);
   }
   const InferenceArgs& args() const { return args_; }
-  /// Substrate counters of the engine-owned store (seals, compactions,
-  /// re-indexed entries) — what the no-O(total)-rebuild regression test and
-  /// bench_ingest read. Drains the ingest queue.
+  /// Counters of the engine-owned answer log (appends, seals). Drains the
+  /// ingest queue.
   SegmentedAnswerStore::Stats store_stats();
 
   /// Health of the persistence subsystem. OK while checkpointing is
@@ -198,7 +193,7 @@ class IncrementalInferenceEngine {
   size_t num_retractions() const;
 
  private:
-  /// Moves every queued answer into the store's tail and journals the
+  /// Moves every queued answer into the answer log and journals the
   /// batch; `mu_` must be held (takes `ingest_mu_` briefly inside — always
   /// in that order).
   void DrainIngestLocked();
@@ -210,28 +205,15 @@ class IncrementalInferenceEngine {
   /// The pool job: refresh passes under `mu_` while coalesced requests
   /// are pending.
   void RunRefresh();
-  /// One refresh pass: drain, seal the tail, absorb the applied
-  /// tombstones, persist the sealed slice and record the seal; `mu_` must
-  /// be held.
+  /// One refresh pass: drain, seal the new slice, persist it (O(new
+  /// answers); disables persistence on failure) and record the seal; `mu_`
+  /// must be held.
   void SealLocked();
   /// Staleness predicate; `mu_` must be held.
   bool StaleLocked() const;
   /// Restores the answer log from the snapshot directory (constructor
-  /// only, before any concurrency; re-seals at the durable segment
-  /// boundaries). Disables persistence on failure.
+  /// only, before any concurrency). Disables persistence on failure.
   void RestoreFromCheckpoint();
-  /// Persists the not-yet-durable slice of the append-only log
-  /// (`unsealed_log_`) after a SealAndSnapshot() and resets the journal;
-  /// `mu_` must be held (the tail is empty at that point, so everything in
-  /// the slice is sealed). O(new answers). Disables persistence on failure.
-  void PersistSealedLocked();
-  /// Moves `pending_dead_` into the sorted `applied_dead_` set; must be
-  /// called under `mu_` right after every SealAndSnapshot(), which is the
-  /// moment the store physically removes pending tombstones and renumbers.
-  void AbsorbAppliedTombstonesLocked();
-  /// Store id currently holding log id `log_id` (= log id minus the
-  /// applied retractions before it); `mu_` must be held and the id live.
-  size_t StoreIdForLocked(uint64_t log_id) const;
   /// Records a persistence failure and stops persisting; `mu_` must be
   /// held (or the constructor running single-threaded).
   void DisableCheckpointing(const Status& error, const char* during);
@@ -240,7 +222,7 @@ class IncrementalInferenceEngine {
   const int num_rows_;
   const InferenceArgs args_;
   ThreadPool* const pool_;  // unowned; nullptr = inline refresh
-  /// The Finalize method (BatchMethod(schema_, args_)); never null.
+  /// The Finalize method (BatchMethod(args_)); never null.
   const std::unique_ptr<TruthInference> method_;
 
   /// Ingest queue: submits append here under `ingest_mu_` only, so the
@@ -257,7 +239,7 @@ class IncrementalInferenceEngine {
 
   mutable std::mutex mu_;
   std::condition_variable refresh_done_;
-  /// The segmented answer log (tail + sealed immutable segments).
+  /// The answer log, in log-id order.
   SegmentedAnswerStore store_;
   /// Durable side of the log (null when checkpointing is disabled or has
   /// failed). All access under `mu_` (constructor excepted).
@@ -265,31 +247,6 @@ class IncrementalInferenceEngine {
   Status checkpoint_status_;
   size_t restored_ = 0;
   size_t restored_retractions_ = 0;
-
-  // ---- Retraction bookkeeping (all under `mu_`). The durable log is
-  // append-only in LOG-ID space: every accepted answer gets the next log id
-  // forever, retractions are separate records, and the in-memory store's
-  // global ids are the log ids minus the retractions already applied by a
-  // seal. ----
-  /// Answers ever accepted (monotonic; store ids are log-space minus
-  /// applied retractions).
-  uint64_t log_size_ = 0;
-  /// Unfiltered log slice accepted since the last durable persist; what
-  /// PersistSealedLocked writes as the next segment file. Maintained only
-  /// while checkpointing is live.
-  std::vector<Answer> unsealed_log_;
-  /// Retracted log ids already physically removed by a seal (sorted).
-  std::vector<uint64_t> applied_dead_;
-  /// Retracted log ids tombstoned but still occupying store numbering
-  /// (applied at the next seal).
-  std::vector<uint64_t> pending_dead_;
-  /// Per-cell live answers (log id + worker), newest last; how a
-  /// (worker, cell) retraction resolves to a log id.
-  struct CellLogEntry {
-    uint64_t log_id;
-    WorkerId worker;
-  };
-  std::vector<std::vector<CellLogEntry>> cell_live_;
   uint64_t retractions_total_ = 0;
   /// A refresh job is queued or running on the pool.
   bool refresh_in_flight_ = false;

@@ -41,7 +41,7 @@ ShardRouter::ShardRouter(const Schema& schema, int num_rows,
       num_rows_(num_rows),
       config_(std::move(config)),
       method_(IncrementalInferenceEngine::BatchMethod(
-          schema_, config_.base.inference)) {
+          config_.base.inference)) {
   TCROWD_CHECK(method_ != nullptr)
       << "unknown inference method " << config_.base.inference.method;
   TCROWD_CHECK(config_.num_shards >= 1);
@@ -219,7 +219,7 @@ Status ShardRouter::RetractAnswer(WorkerId worker, CellRef cell) {
       worker, CellRef{cell.row - ranges_[s].row_begin, cell.col});
   if (!st.ok()) return st;
   // Mirror the engine's semantics in the ledger: the NEWEST live matching
-  // entry is the one the shard tombstoned.
+  // entry is the one the shard retracted.
   auto& ledger = ledgers_[s];
   for (auto rit = ledger.rbegin(); rit != ledger.rend(); ++rit) {
     if (rit->live && rit->answer.worker == worker &&

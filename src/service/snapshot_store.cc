@@ -258,7 +258,6 @@ Status SnapshotStore::Open(const Schema& schema, int num_rows,
           "segment %s: holds %zu answers, manifest says %llu", path.c_str(),
           count, static_cast<unsigned long long>(seg.count)));
     }
-    recovered->segment_sizes.push_back(count);
   }
   recovered->sealed_answers = recovered->answers.size();
   TCROWD_CHECK(recovered->sealed_answers == manifest_.sealed_answers);

@@ -74,18 +74,16 @@ struct CheckpointArgs {
 /// final append is the expected crash shape. See docs/PERSISTENCE.md.
 ///
 /// Ownership/thread-safety: NOT internally synchronized; the owning
-/// engine serializes all calls under its own mutex (the same discipline as
-/// SegmentedAnswerStore).
+/// engine serializes all calls under its own mutex, as it does for its
+/// SegmentedAnswerStore.
 class SnapshotStore {
  public:
   /// What Open() recovered from the directory.
   struct RecoveredLog {
     /// The full durable chronological answer log (segments, then journal).
     std::vector<Answer> answers;
-    /// Sizes of the durable segment files, in manifest order; their sum is
-    /// the sealed prefix of `answers`.
-    std::vector<size_t> segment_sizes;
-    /// Answers recovered from segment files (== sum of segment_sizes).
+    /// Answers recovered from segment files: the sealed prefix of
+    /// `answers`.
     size_t sealed_answers = 0;
     /// Log ids of every durable retraction (manifest table ∪ journal
     /// retraction records), sorted and deduplicated, each below

@@ -26,8 +26,7 @@ struct ScenarioSpec {
   /// CrowdService::RetractAnswer.
   double retract_prob = 0.0;
   /// How many accepted answers later the disavowal lands (the retraction
-  /// exercises the tombstone path only if the answer had time to be sealed
-  /// or fitted over).
+  /// reaches a sealed answer only if the answer had time to be sealed).
   int retract_delay = 24;
 };
 

@@ -2,13 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <unordered_map>
+#include <optional>
 #include <vector>
 
-#include "inference/em_executor.h"
 #include "inference/segment_store.h"
-#include "inference/tcrowd_model.h"
 #include "test_helpers.h"
 
 namespace tcrowd {
@@ -16,527 +13,190 @@ namespace {
 
 using tcrowd::testing::SimWorld;
 
-/// Builds a snapshot over `answers` split into `num_segments` chunks, with
-/// the SAME column mask / standardization epoch / first-appearance worker
-/// registry the batch path computes over the whole log — isolating the
-/// segmentation itself as the only difference from the flat fit.
-AnswerMatrixSnapshot SegmentedSnapshot(const Schema& schema,
-                                       const AnswerSet& answers,
-                                       const TCrowdModel& model,
-                                       int num_segments) {
-  AnswerMatrixSnapshot snap;
-  snap.num_rows = answers.num_rows();
-  snap.num_cols = answers.num_cols();
-  snap.column_active = model.ActiveColumns(snap.num_cols);
-
-  std::vector<std::vector<double>> col_values(snap.num_cols);
-  std::unordered_map<WorkerId, int> worker_to_dense;
-  for (const Answer& a : answers.answers()) {
-    if (schema.column(a.cell.col).type == ColumnType::kContinuous) {
-      col_values[a.cell.col].push_back(a.value.number());
-    }
-    auto [it, inserted] = worker_to_dense.emplace(
-        a.worker, static_cast<int>(snap.worker_ids.size()));
-    if (inserted) snap.worker_ids.push_back(a.worker);
-  }
-  ComputeColumnStandardization(schema, col_values, &snap.col_center,
-                               &snap.col_scale);
-
-  size_t n = answers.size();
-  size_t base = n / num_segments;
-  snap.offsets.push_back(0);
-  size_t start = 0;
-  for (int s = 0; s < num_segments; ++s) {
-    // Uneven chunks (the last takes the remainder) exercise offset math.
-    size_t len = s + 1 < num_segments ? base : n - start;
-    if (len == 0) continue;
-    snap.segments.push_back(AnswerSegment::Build(
-        schema, snap.column_active, snap.col_center, snap.col_scale,
-        answers.answers().data() + start, len, worker_to_dense));
-    start += len;
-    snap.offsets.push_back(start);
-  }
-  return snap;
-}
-
-/// Zero-tolerance comparison of two fitted states: the segmented EM must
-/// reproduce the flat EM to the last bit.
-void ExpectStatesBitIdentical(const TCrowdState& a, const TCrowdState& b) {
-  ASSERT_EQ(a.num_rows, b.num_rows);
-  ASSERT_EQ(a.num_cols, b.num_cols);
-  EXPECT_EQ(a.em_iterations, b.em_iterations);
-  ASSERT_EQ(a.objective_trace.size(), b.objective_trace.size());
-  for (size_t k = 0; k < a.objective_trace.size(); ++k) {
-    EXPECT_EQ(a.objective_trace[k], b.objective_trace[k]) << "trace " << k;
-  }
-  for (int i = 0; i < a.num_rows; ++i) {
-    EXPECT_EQ(a.row_difficulty[i], b.row_difficulty[i]) << "alpha " << i;
-  }
-  for (int j = 0; j < a.num_cols; ++j) {
-    EXPECT_EQ(a.col_difficulty[j], b.col_difficulty[j]) << "beta " << j;
-    EXPECT_EQ(a.col_center[j], b.col_center[j]) << "center " << j;
-    EXPECT_EQ(a.col_scale[j], b.col_scale[j]) << "scale " << j;
-  }
-  ASSERT_EQ(a.worker_phi.size(), b.worker_phi.size());
-  for (const auto& [worker, phi] : a.worker_phi) {
-    auto it = b.worker_phi.find(worker);
-    ASSERT_NE(it, b.worker_phi.end()) << "worker " << worker;
-    EXPECT_EQ(phi, it->second) << "phi of worker " << worker;
-  }
-  ASSERT_EQ(a.posteriors.size(), b.posteriors.size());
-  for (size_t k = 0; k < a.posteriors.size(); ++k) {
-    const CellPosterior& pa = a.posteriors[k];
-    const CellPosterior& pb = b.posteriors[k];
-    EXPECT_EQ(pa.mean, pb.mean) << "cell " << k;
-    EXPECT_EQ(pa.variance, pb.variance) << "cell " << k;
-    ASSERT_EQ(pa.probs.size(), pb.probs.size()) << "cell " << k;
-    for (size_t z = 0; z < pa.probs.size(); ++z) {
-      EXPECT_EQ(pa.probs[z], pb.probs[z]) << "cell " << k << " label " << z;
+/// Expects `got` to hold exactly `all` minus the log ids in `dead`, in log
+/// order, with labels and continuous values bit-exact.
+void ExpectLiveLog(const AnswerSet& got, const std::vector<Answer>& all,
+                   const std::vector<size_t>& dead) {
+  ASSERT_EQ(got.size(), all.size() - dead.size());
+  size_t want = 0;
+  for (size_t id = 0; id < all.size(); ++id) {
+    bool is_dead = false;
+    for (size_t d : dead) is_dead = is_dead || d == id;
+    if (is_dead) continue;
+    const Answer& a = got.answer(static_cast<int>(want++));
+    EXPECT_EQ(a.worker, all[id].worker) << "log id " << id;
+    EXPECT_EQ(a.cell.row, all[id].cell.row) << "log id " << id;
+    EXPECT_EQ(a.cell.col, all[id].cell.col) << "log id " << id;
+    if (all[id].value.is_continuous()) {
+      EXPECT_EQ(a.value.number(), all[id].value.number()) << "log id " << id;
+    } else {
+      EXPECT_EQ(a.value.label(), all[id].value.label()) << "log id " << id;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// Batch-vs-segmented bit-for-bit equivalence (the fig-12 inference workload:
-// mixed categorical/continuous synthetic world, full EM).
+// SegmentedAnswerStore: the plain answer log.
 
-TEST(AnswerSegments, SegmentedFitIsBitIdenticalToFlatFit) {
-  SimWorld world(771, /*answers_per_task=*/5);
-  TCrowdModel model(TCrowdOptions::Fast());
-
-  TCrowdState flat = model.Fit(world.world.schema, world.answers);
-  AnswerMatrixSnapshot snap =
-      SegmentedSnapshot(world.world.schema, world.answers, model, 7);
-  ASSERT_EQ(snap.segments.size(), 7u);
-  TCrowdState segmented = model.Fit(world.world.schema, snap, nullptr);
-
-  ExpectStatesBitIdentical(flat, segmented);
-}
-
-TEST(AnswerSegments, ShardedSegmentedFitIsBitIdenticalToShardedFlatFit) {
-  // 40 rows x 6 cols x 9 answers = 2160 answers: enough to engage the
-  // sharded M-step, so segment-boundary / shard-boundary interactions are
-  // exercised together.
-  SimWorld world(772, /*answers_per_task=*/9);
-  TCrowdOptions options = TCrowdOptions::Fast();
-  options.num_threads = 3;
-  TCrowdModel model(options);
-
-  TCrowdState flat = model.Fit(world.world.schema, world.answers);
-  AnswerMatrixSnapshot snap =
-      SegmentedSnapshot(world.world.schema, world.answers, model, 5);
-  EmExecutor executor(3);
-  TCrowdState segmented = model.Fit(world.world.schema, snap, &executor);
-
-  ExpectStatesBitIdentical(flat, segmented);
-}
-
-TEST(AnswerSegments, RestrictedVariantFitMatchesAcrossSegmentation) {
-  SimWorld world(773, /*answers_per_task=*/4);
-  TCrowdModel model =
-      TCrowdModel::OnlyCategorical(world.world.schema, TCrowdOptions::Fast());
-
-  TCrowdState flat = model.Fit(world.world.schema, world.answers);
-  AnswerMatrixSnapshot snap =
-      SegmentedSnapshot(world.world.schema, world.answers, model, 4);
-  TCrowdState segmented = model.Fit(world.world.schema, snap, nullptr);
-
-  ExpectStatesBitIdentical(flat, segmented);
-}
-
-// ---------------------------------------------------------------------------
-// SegmentedAnswerStore: layout reuse, seal/compact edges, tombstones.
-
-SegmentedAnswerStore::Options NoCompaction() {
-  SegmentedAnswerStore::Options opt;
-  opt.max_sealed_segments = 0;     // disable fragmentation compaction
-  opt.epoch_growth_factor = 0.0;   // disable epoch-growth compaction
-  return opt;
-}
-
-TEST(SegmentStore, SealReusesPreviouslySealedSegments) {
+TEST(SegmentStore, SealReturnsOnlyTheNewSlice) {
   SimWorld world(774, /*answers_per_task=*/3);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             NoCompaction());
   const std::vector<Answer>& all = world.answers.answers();
+  SegmentedAnswerStore store(world.answers.num_rows(),
+                             world.world.schema.num_columns());
   store.AppendBatch(all.data(), 100);
-  AnswerMatrixSnapshot snap1 = store.SealAndSnapshot();
-  ASSERT_EQ(snap1.segments.size(), 1u);
-  EXPECT_EQ(snap1.num_answers(), 100u);
+  SegmentedAnswerStore::Slice first = store.Seal();
+  ASSERT_EQ(first.size, 100u);
+  EXPECT_EQ(first.answers[0].worker, all[0].worker);
+  EXPECT_EQ(first.answers[99].worker, all[99].worker);
 
   store.AppendBatch(all.data() + 100, 50);
-  AnswerMatrixSnapshot snap2 = store.SealAndSnapshot();
-  ASSERT_EQ(snap2.segments.size(), 2u);
-  EXPECT_EQ(snap2.num_answers(), 150u);
-  // Segment REUSE, not rebuild: the first slab is the same object.
-  EXPECT_EQ(snap1.segments[0].get(), snap2.segments[0].get());
+  SegmentedAnswerStore::Slice second = store.Seal();
+  ASSERT_EQ(second.size, 50u);
+  EXPECT_EQ(second.answers[0].worker, all[100].worker);
+  EXPECT_EQ(second.answers[49].worker, all[149].worker);
 
+  // Nothing new: an empty slice, and the seal counters stay put.
+  EXPECT_EQ(store.Seal().size, 0u);
   const SegmentedAnswerStore::Stats& stats = store.stats();
   EXPECT_EQ(stats.appended, 150u);
   EXPECT_EQ(stats.sealed_segments, 2u);
-  EXPECT_EQ(stats.sealed_entries, 150u);  // every answer indexed exactly once
+  EXPECT_EQ(stats.sealed_entries, 150u);
   EXPECT_EQ(stats.compactions, 0u);
   EXPECT_EQ(stats.compacted_entries, 0u);
 }
 
-TEST(SegmentStore, SealOnEmptyTailIsANoOp) {
-  SimWorld world(775, /*answers_per_task=*/3);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             NoCompaction());
-  store.AppendBatch(world.answers.answers().data(), 60);
-  AnswerMatrixSnapshot first = store.SealAndSnapshot();
-  AnswerMatrixSnapshot again = store.SealAndSnapshot();
-  EXPECT_EQ(first.segments.size(), again.segments.size());
-  EXPECT_EQ(first.num_answers(), again.num_answers());
-  EXPECT_EQ(store.stats().sealed_segments, 1u);
-  // An empty store snapshots cleanly too.
-  SegmentedAnswerStore empty(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             NoCompaction());
-  AnswerMatrixSnapshot none = empty.SealAndSnapshot();
-  EXPECT_EQ(none.num_answers(), 0u);
-  EXPECT_TRUE(none.segments.empty());
-}
-
-TEST(SegmentStore, FragmentationThresholdTriggersCompaction) {
-  SimWorld world(776, /*answers_per_task=*/4);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore::Options opt;
-  opt.max_sealed_segments = 3;
-  opt.epoch_growth_factor = 0.0;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             opt);
-  const std::vector<Answer>& all = world.answers.answers();
-  size_t chunk = all.size() / 4;
-  AnswerMatrixSnapshot snap;
-  for (int s = 0; s < 4; ++s) {
-    size_t lo = s * chunk;
-    size_t hi = s + 1 < 4 ? lo + chunk : all.size();
-    store.AppendBatch(all.data() + lo, hi - lo);
-    snap = store.SealAndSnapshot();
-  }
-  // The 4th seal would have exceeded 3 sealed segments -> one compaction.
-  EXPECT_EQ(store.stats().compactions, 1u);
-  EXPECT_EQ(store.num_sealed_segments(), 1);
-  EXPECT_EQ(snap.num_answers(), all.size());
-
-  // Post-compaction the epoch equals the full-data epoch, so a fit over the
-  // compacted snapshot is bit-identical to the batch fit.
-  TCrowdModel model(TCrowdOptions::Fast());
-  ExpectStatesBitIdentical(model.Fit(schema, world.answers),
-                           model.Fit(schema, snap, nullptr));
-}
-
-TEST(SegmentStore, EpochGrowthTriggersRestandardization) {
-  SimWorld world(777, /*answers_per_task=*/5);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore::Options opt;
-  opt.max_sealed_segments = 0;
-  opt.epoch_growth_factor = 2.0;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             opt);
-  const std::vector<Answer>& all = world.answers.answers();
-  store.AppendBatch(all.data(), 100);
-  store.SealAndSnapshot();  // epoch computed over 100 answers
-  EXPECT_EQ(store.stats().compactions, 0u);
-  store.AppendBatch(all.data() + 100, all.size() - 100);  // >= 2x growth
-  AnswerMatrixSnapshot snap = store.SealAndSnapshot();
-  EXPECT_EQ(store.stats().compactions, 1u);
-
-  // The refreshed epoch matches what the batch path computes over all data.
-  std::vector<std::vector<double>> col_values(schema.num_columns());
-  for (const Answer& a : all) {
-    if (schema.column(a.cell.col).type == ColumnType::kContinuous) {
-      col_values[a.cell.col].push_back(a.value.number());
-    }
-  }
-  std::vector<double> center, scale;
-  ComputeColumnStandardization(schema, col_values, &center, &scale);
-  for (int j = 0; j < schema.num_columns(); ++j) {
-    EXPECT_EQ(snap.col_center[j], center[j]) << "col " << j;
-    EXPECT_EQ(snap.col_scale[j], scale[j]) << "col " << j;
-  }
-}
-
-TEST(SegmentStore, TombstoneScrubRebuildsOnlyAffectedSegments) {
+TEST(SegmentStore, LiveLogExcludesRetractedAnswersSealedOrNot) {
   SimWorld world(778, /*answers_per_task=*/3);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             NoCompaction());
-  const std::vector<Answer>& all = world.answers.answers();
-  store.AppendBatch(all.data(), 40);
-  store.SealAndSnapshot();
-  store.AppendBatch(all.data() + 40, 40);
-  store.SealAndSnapshot();
-  store.AppendBatch(all.data() + 80, 10);  // tail
+  std::vector<Answer> all(world.answers.answers().begin(),
+                          world.answers.answers().begin() + 90);
+  SegmentedAnswerStore store(world.answers.num_rows(),
+                             world.world.schema.num_columns());
+  store.AppendBatch(all.data(), 80);
+  store.Seal();
+  store.AppendBatch(all.data() + 80, 10);  // unsealed: log ids 80..89
 
-  const Answer& dead_sealed = all[45];  // lives in the 2nd segment
-  int count_sealed =
-      store.CellAnswerCount(dead_sealed.cell.row, dead_sealed.cell.col);
-  store.Tombstone(45);
-  store.Tombstone(45);  // duplicate retraction is a no-op
-  store.Tombstone(83);
-  EXPECT_EQ(
-      store.CellAnswerCount(dead_sealed.cell.row, dead_sealed.cell.col),
-      count_sealed - 1);
+  // all[45] is sealed, all[83] is not. Each worker answers a cell at most
+  // once in this world, so each retraction resolves to that log id.
+  EXPECT_EQ(store.RetractNewest(all[45].worker, all[45].cell),
+            std::optional<uint64_t>(45));
+  EXPECT_EQ(store.RetractNewest(all[83].worker, all[83].cell),
+            std::optional<uint64_t>(83));
+  EXPECT_EQ(store.size(), 88u);
+  EXPECT_EQ(store.log_size(), 90u);
+  ExpectLiveLog(store.MaterializeAnswerSet(), all, {45, 83});
 
-  AnswerMatrixSnapshot snap = store.SealAndSnapshot();
-  EXPECT_EQ(snap.num_answers(), 88u);
-  EXPECT_EQ(store.stats().tombstones_dropped, 2u);
-  EXPECT_EQ(store.stats().scrubbed_segments, 1u);  // only the 2nd segment
-  EXPECT_EQ(store.stats().compactions, 0u);
-  EXPECT_EQ(store.stats().pending_tombstones, 0u);
-
-  // The materialized log equals the original log minus the two retractions.
-  AnswerSet survivors = store.MaterializeAnswerSet();
-  ASSERT_EQ(survivors.size(), 88u);
-  size_t want = 0;
-  for (size_t id = 0; id < 90; ++id) {
-    if (id == 45 || id == 83) continue;
-    const Answer& got = survivors.answer(static_cast<int>(want));
-    EXPECT_EQ(got.worker, all[id].worker);
-    EXPECT_EQ(got.cell.row, all[id].cell.row);
-    EXPECT_EQ(got.cell.col, all[id].cell.col);
-    // Sealed answers come back with their labels and their raw continuous
-    // values bit-exact, not the standardized copies.
-    if (all[id].value.is_continuous()) {
-      EXPECT_EQ(got.value.number(), all[id].value.number());
-    } else {
-      EXPECT_EQ(got.value.label(), all[id].value.label());
-    }
-    ++want;
-  }
+  // The retracted answers stay in place: the next seal hands over all of
+  // log ids 80..89.
+  SegmentedAnswerStore::Slice slice = store.Seal();
+  ASSERT_EQ(slice.size, 10u);
+  EXPECT_EQ(slice.answers[3].worker, all[83].worker);
+  EXPECT_EQ(slice.answers[3].cell.row, all[83].cell.row);
+  ExpectLiveLog(store.MaterializeAnswerSet(), all, {45, 83});
 }
 
-TEST(SegmentStore, TombstoneThresholdForcesFullCompaction) {
-  SimWorld world(779, /*answers_per_task=*/3);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore::Options opt = NoCompaction();
-  opt.tombstone_compact_threshold = 1;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             opt);
+TEST(SegmentStore, SecondRetractionOfTheSameAnswerFindsNothing) {
+  SimWorld world(779, /*answers_per_task=*/1);
   const std::vector<Answer>& all = world.answers.answers();
+  SegmentedAnswerStore store(world.answers.num_rows(),
+                             world.world.schema.num_columns());
   store.AppendBatch(all.data(), all.size());
-  store.SealAndSnapshot();
-  store.Tombstone(7);
-  AnswerMatrixSnapshot snap = store.SealAndSnapshot();
-  EXPECT_EQ(store.stats().compactions, 1u);
-  EXPECT_EQ(snap.num_answers(), all.size() - 1);
-
-  // Full compaction recomputes registry + epoch over the survivors, so the
-  // fit equals a batch fit on the surviving answers bit for bit.
-  AnswerSet survivors(world.answers.num_rows(), schema.num_columns());
-  for (size_t id = 0; id < all.size(); ++id) {
-    if (id != 7) survivors.Add(all[id]);
-  }
-  TCrowdModel model(TCrowdOptions::Fast());
-  ExpectStatesBitIdentical(model.Fit(schema, survivors),
-                           model.Fit(schema, snap, nullptr));
+  ASSERT_TRUE(store.RetractNewest(all[7].worker, all[7].cell).has_value());
+  EXPECT_FALSE(store.RetractNewest(all[7].worker, all[7].cell).has_value());
+  // A worker that never answered the cell finds nothing either.
+  EXPECT_FALSE(store.RetractNewest(1 << 20, all[7].cell).has_value());
+  EXPECT_EQ(store.size(), all.size() - 1);
 }
 
-TEST(SegmentStore, RetractThenReanswerSameCellKeepsCountsAndFit) {
-  // A worker's answer is retracted and the SAME worker later re-answers the
-  // SAME cell: the count dips and recovers, and the fit over the store
-  // equals a flat fit over survivors-plus-replacement in log order.
+TEST(SegmentStore, RetractionTakesTheNewerOfTwoAnswersOnACell) {
   Schema schema{{Schema::MakeCategorical("c", {"a", "b"}),
                  Schema::MakeContinuous("x", 0.0, 10.0)}};
-  std::vector<Answer> batch;
-  for (int i = 0; i < 4; ++i) {
-    for (WorkerId w = 0; w < 5; ++w) {
-      batch.push_back(Answer{w, CellRef{i, 0}, Value::Categorical(i % 2)});
-      batch.push_back(
-          Answer{w, CellRef{i, 1}, Value::Continuous(2.0 + i + 0.1 * w)});
-    }
-  }
-  SegmentedAnswerStore store(schema, 4,
-                             std::vector<bool>(schema.num_columns(), true),
-                             NoCompaction());
-  store.AppendBatch(batch.data(), batch.size());
-  store.SealAndSnapshot();
+  std::vector<Answer> log = {
+      {2, CellRef{1, 0}, Value::Categorical(0)},   // 0
+      {3, CellRef{1, 0}, Value::Categorical(1)},   // 1
+      {2, CellRef{1, 0}, Value::Categorical(1)},   // 2: worker 2 again
+      {2, CellRef{1, 1}, Value::Continuous(4.5)},  // 3
+  };
+  SegmentedAnswerStore store(4, schema.num_columns());
+  store.AppendBatch(log.data(), log.size());
+  EXPECT_EQ(store.RetractNewest(2, CellRef{1, 0}),
+            std::optional<uint64_t>(2));
 
-  // Worker 2's answer on cell (1,0) sits at id (1*5+2)*2 = 14.
-  const size_t dead_id = 14;
-  ASSERT_EQ(batch[dead_id].worker, 2);
-  ASSERT_EQ(batch[dead_id].cell.row, 1);
-  ASSERT_EQ(batch[dead_id].cell.col, 0);
-  int before = store.CellAnswerCount(1, 0);
-  store.Tombstone(dead_id);
-  EXPECT_EQ(store.CellAnswerCount(1, 0), before - 1);
-
-  Answer redo{2, CellRef{1, 0}, Value::Categorical(1)};
-  store.AppendBatch(&redo, 1);
-  EXPECT_EQ(store.CellAnswerCount(1, 0), before);
-
-  AnswerMatrixSnapshot snap = store.SealAndSnapshot();
-  EXPECT_EQ(snap.num_answers(), batch.size());
-  EXPECT_EQ(store.stats().tombstones_dropped, 1u);
-  EXPECT_EQ(store.stats().pending_tombstones, 0u);
-
-  AnswerSet flat(4, 2);
-  for (size_t id = 0; id < batch.size(); ++id) {
-    if (id != dead_id) flat.Add(batch[id]);
-  }
-  flat.Add(redo);
-  TCrowdModel model(TCrowdOptions::Fast());
-  ExpectStatesBitIdentical(model.Fit(schema, flat),
-                           model.Fit(schema, snap, nullptr));
+  // Re-answering after the retraction makes the new answer the newest.
+  Answer redo{2, CellRef{1, 0}, Value::Categorical(0)};
+  store.AppendBatch(&redo, 1);  // log id 4
+  EXPECT_EQ(store.RetractNewest(2, CellRef{1, 0}),
+            std::optional<uint64_t>(4));
+  EXPECT_EQ(store.RetractNewest(2, CellRef{1, 0}),
+            std::optional<uint64_t>(0));
+  EXPECT_FALSE(store.RetractNewest(2, CellRef{1, 0}).has_value());
+  log.push_back(redo);
+  ExpectLiveLog(store.MaterializeAnswerSet(), log, {0, 2, 4});
 }
 
-TEST(SegmentStore, TombstoneInUnsealedTailDropsAtTheNextSeal) {
+TEST(SegmentStore, RestoreKeepsLogIdsDeadFlagsAndTheSealedBoundary) {
   SimWorld world(781, /*answers_per_task=*/3);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             NoCompaction());
   const std::vector<Answer>& all = world.answers.answers();
-  store.AppendBatch(all.data(), 50);
-  store.SealAndSnapshot();
-  store.AppendBatch(all.data() + 50, 10);  // unsealed tail: ids 50..59
+  std::vector<Answer> durable(all.begin(), all.begin() + 60);
+  SegmentedAnswerStore store(world.answers.num_rows(),
+                             world.world.schema.num_columns());
+  store.Restore(durable, /*retracted_ids=*/{12, 55}, /*sealed_answers=*/50);
+  EXPECT_EQ(store.log_size(), 60u);
+  EXPECT_EQ(store.size(), 58u);
+  ExpectLiveLog(store.MaterializeAnswerSet(), durable, {12, 55});
 
-  const Answer& dead = all[55];
-  int before = store.CellAnswerCount(dead.cell.row, dead.cell.col);
-  store.Tombstone(55);
-  // Logically dead immediately, physically still pending.
-  EXPECT_EQ(store.CellAnswerCount(dead.cell.row, dead.cell.col), before - 1);
-  EXPECT_EQ(store.stats().pending_tombstones, 1u);
-  EXPECT_EQ(store.stats().tombstones_dropped, 0u);
+  // A dead answer stays dead; a live one resolves to its durable log id.
+  // (Each worker answers a cell at most once in this world.)
+  EXPECT_FALSE(store.RetractNewest(all[12].worker, all[12].cell).has_value());
+  EXPECT_EQ(store.RetractNewest(all[59].worker, all[59].cell),
+            std::optional<uint64_t>(59));
 
-  AnswerMatrixSnapshot snap = store.SealAndSnapshot();
-  EXPECT_EQ(snap.num_answers(), 59u);
-  EXPECT_EQ(store.stats().pending_tombstones, 0u);
-  EXPECT_EQ(store.stats().tombstones_dropped, 1u);
-  // Dropping a tail tombstone never rebuilds a sealed segment.
-  EXPECT_EQ(store.stats().scrubbed_segments, 0u);
-
-  // The survivors are the log minus id 55, order preserved.
-  AnswerSet survivors = store.MaterializeAnswerSet();
-  ASSERT_EQ(survivors.size(), 59u);
-  size_t want = 0;
-  for (size_t id = 0; id < 60; ++id) {
-    if (id == 55) continue;
-    EXPECT_EQ(survivors.answer(static_cast<int>(want)).worker,
-              all[id].worker);
-    ++want;
-  }
+  // New answers continue the log ids; the next seal starts at the durable
+  // sealed boundary.
+  store.AppendBatch(all.data() + 60, 5);
+  SegmentedAnswerStore::Slice slice = store.Seal();
+  ASSERT_EQ(slice.size, 15u);
+  EXPECT_EQ(slice.answers[0].worker, all[50].worker);
+  EXPECT_EQ(slice.answers[14].worker, all[64].worker);
 }
 
-TEST(SegmentStore, TombstoneCrossingFragmentationCompactionIsDropped) {
-  // A pending tombstone in an early segment while a fragmentation
-  // compaction fires: the compaction must swallow the tombstone (not lose
-  // it, not apply it twice) and the compacted fit must equal a flat fit
-  // over the survivors.
-  SimWorld world(782, /*answers_per_task=*/4);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore::Options opt;
-  opt.max_sealed_segments = 2;
-  opt.epoch_growth_factor = 0.0;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             opt);
-  const std::vector<Answer>& all = world.answers.answers();
-  size_t chunk = all.size() / 3;
-  store.AppendBatch(all.data(), chunk);
-  store.SealAndSnapshot();
-  store.AppendBatch(all.data() + chunk, chunk);
-  store.SealAndSnapshot();
-  ASSERT_EQ(store.stats().compactions, 0u);
+// ---------------------------------------------------------------------------
+// AnswerSegment: the layout one fit streams.
 
-  store.Tombstone(3);  // lives in the FIRST sealed segment
-  store.AppendBatch(all.data() + 2 * chunk, all.size() - 2 * chunk);
-  // This seal exceeds max_sealed_segments -> full compaction, with the
-  // tombstone still pending.
-  AnswerMatrixSnapshot snap = store.SealAndSnapshot();
-  EXPECT_EQ(store.stats().compactions, 1u);
-  EXPECT_EQ(store.stats().tombstones_dropped, 1u);
-  EXPECT_EQ(store.stats().pending_tombstones, 0u);
-  EXPECT_EQ(snap.num_answers(), all.size() - 1);
+TEST(AnswerSegments, CellMajorRunsKeepLogOrderAndSkipInactiveColumns) {
+  Schema schema{{Schema::MakeCategorical("c", {"a", "b", "c"}),
+                 Schema::MakeContinuous("x", 0.0, 10.0),
+                 Schema::MakeCategorical("d", {"a", "b"})}};
+  AnswerSet answers(3, 3);
+  answers.Add(Answer{7, CellRef{2, 2}, Value::Categorical(1)});
+  answers.Add(Answer{5, CellRef{0, 1}, Value::Continuous(3.0)});
+  answers.Add(Answer{7, CellRef{0, 0}, Value::Categorical(2)});
+  answers.Add(Answer{9, CellRef{0, 1}, Value::Continuous(5.0)});
+  answers.Add(Answer{5, CellRef{0, 0}, Value::Categorical(0)});
+  AnswerSegment layout(schema, {true, true, false}, answers);
 
-  AnswerSet survivors(world.answers.num_rows(), schema.num_columns());
-  for (size_t id = 0; id < all.size(); ++id) {
-    if (id != 3) survivors.Add(all[id]);
-  }
-  TCrowdModel model(TCrowdOptions::Fast());
-  ExpectStatesBitIdentical(model.Fit(schema, survivors),
-                           model.Fit(schema, snap, nullptr));
-}
+  // Workers are numbered by first appearance; every answer keeps its
+  // answer-order slot.
+  EXPECT_EQ(layout.worker_ids(), (std::vector<WorkerId>{7, 5, 9}));
+  ASSERT_EQ(layout.size(), 5u);
+  EXPECT_EQ(layout.ans_active()[0], 0);
+  EXPECT_EQ(layout.ans_worker()[3], 2);
 
-TEST(SegmentStore, TombstoneStatsBalanceAcrossMixedRetractions) {
-  // pending + dropped must balance like a ledger across scrubs, tail drops,
-  // and duplicates — the accounting the service's retraction counters sit
-  // on top of.
-  SimWorld world(783, /*answers_per_task=*/3);
-  const Schema& schema = world.world.schema;
-  SegmentedAnswerStore store(schema, world.answers.num_rows(),
-                             std::vector<bool>(schema.num_columns(), true),
-                             NoCompaction());
-  const std::vector<Answer>& all = world.answers.answers();
-  store.AppendBatch(all.data(), 40);
-  store.SealAndSnapshot();
-  store.AppendBatch(all.data() + 40, 20);  // tail: ids 40..59
-
-  store.Tombstone(12);  // sealed
-  store.Tombstone(33);  // sealed
-  store.Tombstone(45);  // tail
-  store.Tombstone(12);  // duplicate: must not double-count
-  EXPECT_EQ(store.stats().pending_tombstones, 3u);
-  EXPECT_EQ(store.stats().tombstones_dropped, 0u);
-
-  store.SealAndSnapshot();
-  EXPECT_EQ(store.stats().pending_tombstones, 0u);
-  EXPECT_EQ(store.stats().tombstones_dropped, 3u);
-  EXPECT_EQ(store.stats().scrubbed_segments, 1u);  // one sealed segment hit
-  EXPECT_EQ(store.MaterializeAnswerSet().size(), 57u);
-
-  // Post-seal the store has renumbered: a fresh tombstone on the new
-  // numbering still lands on the intended answer.
-  const Answer& target = all[50];  // survived; new id shifts by prior kills
-  int count = store.CellAnswerCount(target.cell.row, target.cell.col);
-  store.Tombstone(47);  // 50 minus the three earlier kills below it
-  EXPECT_EQ(store.CellAnswerCount(target.cell.row, target.cell.col),
-            count - 1);
-  EXPECT_EQ(store.stats().pending_tombstones, 1u);
-}
-
-TEST(SegmentStore, DuplicateWorkerCellAnswersInOneBatch) {
-  // The same worker answering the same cell twice within one batch must be
-  // indexed as two entries (the store is a log, not a set) and fit exactly
-  // like the equivalent flat AnswerSet.
-  Schema schema{{Schema::MakeCategorical("c", {"a", "b"}),
-                 Schema::MakeContinuous("x", 0.0, 10.0)}};
-  AnswerSet flat(4, 2);
-  std::vector<Answer> batch;
-  for (int i = 0; i < 4; ++i) {
-    for (WorkerId w = 0; w < 5; ++w) {
-      batch.push_back(Answer{w, CellRef{i, 0}, Value::Categorical(i % 2)});
-      batch.push_back(
-          Answer{w, CellRef{i, 1}, Value::Continuous(2.0 + i + 0.1 * w)});
-    }
-  }
-  // Duplicates: worker 2 re-answers both cells of row 1 inside the batch.
-  batch.push_back(Answer{2, CellRef{1, 0}, Value::Categorical(0)});
-  batch.push_back(Answer{2, CellRef{1, 1}, Value::Continuous(9.5)});
-  for (const Answer& a : batch) flat.Add(a);
-
-  SegmentedAnswerStore store(schema, 4,
-                             std::vector<bool>(schema.num_columns(), true),
-                             NoCompaction());
-  store.AppendBatch(batch.data(), batch.size());
-  EXPECT_EQ(store.CellAnswerCount(1, 0), 6);
-  EXPECT_EQ(store.CellAnswerCount(1, 1), 6);
-  AnswerMatrixSnapshot snap = store.SealAndSnapshot();
-  ASSERT_EQ(snap.num_answers(), batch.size());
-
-  TCrowdModel model(TCrowdOptions::Fast());
-  ExpectStatesBitIdentical(model.Fit(schema, flat),
-                           model.Fit(schema, snap, nullptr));
+  // Row 0 holds (0,0) then (0,1), each in log order; column 2 is inactive,
+  // so row 2 has no entries.
+  ASSERT_EQ(layout.row_begin(0), 0u);
+  ASSERT_EQ(layout.row_begin(1), 4u);
+  EXPECT_EQ(layout.row_begin(2), 4u);
+  EXPECT_EQ(layout.row_begin(3), 4u);
+  EXPECT_EQ(std::vector<int32_t>(layout.cm_col(), layout.cm_col() + 4),
+            (std::vector<int32_t>{0, 0, 1, 1}));
+  EXPECT_EQ(std::vector<int32_t>(layout.cm_worker(), layout.cm_worker() + 4),
+            (std::vector<int32_t>{0, 1, 1, 2}));
+  EXPECT_EQ(layout.cm_label()[0], 2);
+  EXPECT_EQ(layout.cm_label()[1], 0);
+  // Standardized around the median (4.0) of the column's answers.
+  EXPECT_LT(layout.cm_number()[2], 0.0);
+  EXPECT_GT(layout.cm_number()[3], 0.0);
+  EXPECT_EQ(layout.col_center()[1], 4.0);
 }
 
 }  // namespace

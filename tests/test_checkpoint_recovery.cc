@@ -194,6 +194,36 @@ TEST(CheckpointRecovery, CrashBeforeAnyRefreshRecoversFromJournalAlone) {
                     expected.estimated_truth, 0.0);
 }
 
+TEST(CheckpointRecovery, CleanShutdownJournalsQueuedAnswers) {
+  // Fewer answers than ingest_batch_size and no seal: every one is still
+  // in the ingest queue when the engine is destroyed. A clean shutdown
+  // must journal them all.
+  SimWorld world(35, /*answers_per_task=*/1);
+  const std::vector<Answer>& all = world.answers.answers();
+  const Schema& schema = world.world.schema;
+  int rows = world.world.truth.num_rows();
+
+  std::string dir = FreshDir("clean_shutdown");
+  InferenceArgs args = DurableSyncArgs(dir, /*staleness=*/1000000);
+  args.min_answers_for_fit = 1000000;  // no seal
+  args.ingest_batch_size = 32;
+  {
+    IncrementalInferenceEngine engine(schema, rows, args, nullptr);
+    Replay(all, 0, 10, &engine);
+  }
+
+  IncrementalInferenceEngine restored(schema, rows, args, nullptr);
+  EXPECT_TRUE(restored.checkpoint_status().ok());
+  ASSERT_EQ(restored.restored_answers(), 10u);
+  AnswerSet recovered = restored.SnapshotAnswers();
+  ASSERT_EQ(recovered.size(), 10u);
+  for (int k = 0; k < 10; ++k) {
+    EXPECT_EQ(recovered.answer(k).worker, all[k].worker) << "answer " << k;
+    EXPECT_EQ(recovered.answer(k).cell.row, all[k].cell.row) << "answer " << k;
+    EXPECT_EQ(recovered.answer(k).cell.col, all[k].cell.col) << "answer " << k;
+  }
+}
+
 TEST(CheckpointRecovery, CheckpointRacingConcurrentRefreshStaysConsistent) {
   // Journal appends (submit threads) race checkpoint-on-seal (async
   // refreshes persisting segments and resetting the journal). Whatever

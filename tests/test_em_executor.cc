@@ -136,37 +136,5 @@ TEST(EmExecutor, FitWithMoreShardsThanRowsMatchesSerialBitForBit) {
   }
 }
 
-// A persistent executor reused across fits gives the same results as fresh
-// transient executors of the same shard count (scratch carries no state
-// between fits).
-TEST(EmExecutor, PersistentExecutorReuseMatchesTransientFits) {
-  SimWorld world(22, /*answers_per_task=*/9);  // 2160 answers: sharded M-step
-  ASSERT_GE(world.answers.size(), EmExecutor::kMinItemsForSharding);
-  TCrowdOptions opt = TCrowdOptions::Fast();
-  opt.num_threads = 4;
-  TCrowdModel model(opt);
-
-  TCrowdState transient = model.Fit(world.world.schema, world.answers);
-
-  EmExecutor persistent(4);
-  for (int round = 0; round < 2; ++round) {
-    TCrowdState st =
-        model.Fit(world.world.schema, world.answers, &persistent);
-    ASSERT_EQ(st.posteriors.size(), transient.posteriors.size());
-    for (size_t c = 0; c < st.posteriors.size(); ++c) {
-      const CellPosterior& a = transient.posteriors[c];
-      const CellPosterior& b = st.posteriors[c];
-      if (a.probs.empty()) {
-        EXPECT_EQ(a.mean, b.mean) << "round " << round << " cell " << c;
-      } else {
-        for (size_t z = 0; z < a.probs.size(); ++z) {
-          EXPECT_EQ(a.probs[z], b.probs[z])
-              << "round " << round << " cell " << c;
-        }
-      }
-    }
-  }
-}
-
 }  // namespace
 }  // namespace tcrowd

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <future>
 #include <thread>
+#include <utility>
 
 #include "inference/majority_voting.h"
 #include "inference/tcrowd_model.h"
@@ -100,10 +101,34 @@ TEST(IncrementalEngine, RestrictedVariantsRunTheRestrictedModel) {
     }
   }
   TCrowdModel batch =
-      TCrowdModel::OnlyCategorical(schema, engine.args().tcrowd_options);
+      TCrowdModel::OnlyCategorical(engine.args().tcrowd_options);
   InferenceResult expected = batch.Infer(schema, engine.SnapshotAnswers());
   ExpectTablesMatch(schema, finalized.estimated_truth,
                     expected.estimated_truth, 1e-12);
+}
+
+TEST(IncrementalEngine, RestrictedMethodWithoutItsTypeFinalizesNothing) {
+  // tc-onlycont on an all-categorical table (and tc-onlycate on an
+  // all-continuous one) models no column: Finalize() estimates no cell.
+  for (const auto& [method, categorical_ratio] :
+       {std::pair{"tc-onlycont", 1.0}, std::pair{"tc-onlycate", 0.0}}) {
+    sim::TableGeneratorOptions topt = SimWorld::DefaultTable();
+    topt.categorical_ratio = categorical_ratio;
+    SimWorld world(19, /*answers_per_task=*/3, topt);
+    InferenceArgs args = SyncArgs(/*staleness=*/64);
+    args.method = method;
+    IncrementalInferenceEngine engine(world.world.schema,
+                                      world.world.truth.num_rows(), args,
+                                      nullptr);
+    Replay(world, &engine);
+    InferenceResult finalized = engine.Finalize();
+    for (int i = 0; i < finalized.estimated_truth.num_rows(); ++i) {
+      for (int j = 0; j < world.world.schema.num_columns(); ++j) {
+        EXPECT_FALSE(finalized.estimated_truth.at(i, j).valid())
+            << method << " cell " << i << "," << j;
+      }
+    }
+  }
 }
 
 TEST(IncrementalEngine, BaselineMethodPathMatchesBatchBaseline) {
@@ -189,14 +214,12 @@ TEST(IncrementalEngine, ShardedFinalizeMatchesShardedBatchBitForBit) {
 }
 
 TEST(IncrementalEngine, RefreshReusesSegmentsNoFullRebuild) {
-  // Regression for the per-refresh O(total-answers) rebuild+copy: with
-  // compaction disabled, every answer must be indexed into a sealed
-  // segment EXACTLY once across all refreshes — refresh-after-K-new-answers
-  // does O(K) layout work, never a rebuild of the whole matrix.
+  // Regression for the per-refresh O(total-answers) rebuild+copy: every
+  // answer must be sealed EXACTLY once across all refreshes —
+  // refresh-after-K-new-answers does O(K) work, never a pass over the
+  // whole log.
   SimWorld world(21, /*answers_per_task=*/3);  // 40 x 6 x 3 = 720 answers
   InferenceArgs args = SyncArgs(/*staleness=*/50);
-  args.store.max_sealed_segments = 0;
-  args.store.epoch_growth_factor = 0.0;
   IncrementalInferenceEngine engine(world.world.schema,
                                     world.world.truth.num_rows(), args,
                                     nullptr);
@@ -205,10 +228,10 @@ TEST(IncrementalEngine, RefreshReusesSegmentsNoFullRebuild) {
 
   SegmentedAnswerStore::Stats stats = engine.store_stats();
   EXPECT_EQ(stats.appended, world.answers.size());
-  // Every refresh sealed only its new tail: each answer was indexed at most
+  // Every refresh sealed only its new slice: each answer was sealed at most
   // once (only the post-last-refresh remainder is still unsealed), and
-  // nothing was ever re-indexed. The historical rebuild-per-fit would have
-  // indexed ~refresh_count * answers/2 ≈ 5000+ entries here.
+  // nothing was ever re-indexed. A rebuild per refresh would have touched
+  // ~refresh_count * answers/2 ≈ 5000+ entries here.
   EXPECT_LE(stats.sealed_entries, stats.appended);
   EXPECT_GE(stats.sealed_entries, stats.appended - 50);
   EXPECT_EQ(stats.compactions, 0u);

@@ -8,7 +8,6 @@
 #include <utility>
 #include <vector>
 
-#include "inference/em_executor.h"
 #include "inference/majority_voting.h"
 #include "math/normal.h"
 #include "math/special_functions.h"
@@ -72,9 +71,9 @@ TEST(TCrowdModel, ObjectiveTraceIsNonDecreasing) {
   TCrowdState full = TCrowdModel().Fit(schema, celebrity.dataset.answers);
   ExpectNonDecreasingTrace(full, "Celebrity");
   EXPECT_TRUE(full.converged) << "Celebrity hit max_em_iterations";
-  ExpectNonDecreasingTrace(TCrowdModel::OnlyCategorical(schema).Fit(
-                               schema, celebrity.dataset.answers),
-                           "Celebrity TC-onlyCate");
+  ExpectNonDecreasingTrace(
+      TCrowdModel::OnlyCategorical().Fit(schema, celebrity.dataset.answers),
+      "Celebrity TC-onlyCate");
 }
 
 /// The MAP objective at the fitted parameters, recomputed from the state
@@ -145,14 +144,14 @@ TEST(TCrowdModel, ObjectiveTraceEndsAtTheObservedMapObjective) {
   };
   expect_final_entry(TCrowdModel().Fit(schema, w.answers), "default");
   expect_final_entry(
-      TCrowdModel::OnlyCategorical(schema).Fit(schema, w.answers),
+      TCrowdModel::OnlyCategorical().Fit(schema, w.answers),
       "TC-onlyCate");
   expect_final_entry(
-      TCrowdModel::OnlyContinuous(schema).Fit(schema, w.answers),
+      TCrowdModel::OnlyContinuous().Fit(schema, w.answers),
       "TC-onlyCont");
-  EmExecutor three(3);
-  expect_final_entry(TCrowdModel().Fit(schema, w.answers, &three),
-                     "3-shard executor");
+  TCrowdOptions three;
+  three.num_threads = 3;
+  expect_final_entry(TCrowdModel(three).Fit(schema, w.answers), "3 shards");
 }
 
 TEST(TCrowdModel, MStepPassesStayWithinBudget) {
@@ -281,7 +280,7 @@ TEST(TCrowdModel, UnifiedQualityTransfersAcrossDatatypes) {
 
 TEST(TCrowdModel, OnlyCateMaskIgnoresContinuous) {
   testing::SimWorld w(804, 4);
-  TCrowdModel model = TCrowdModel::OnlyCategorical(w.world.schema);
+  TCrowdModel model = TCrowdModel::OnlyCategorical();
   EXPECT_EQ(model.name(), "TC-onlyCate");
   InferenceResult r = model.Infer(w.world.schema, w.answers);
   for (int j : w.world.schema.ContinuousColumns()) {
@@ -296,11 +295,36 @@ TEST(TCrowdModel, OnlyCateMaskIgnoresContinuous) {
 
 TEST(TCrowdModel, OnlyContMaskIgnoresCategorical) {
   testing::SimWorld w(805, 4);
-  TCrowdModel model = TCrowdModel::OnlyContinuous(w.world.schema);
+  TCrowdModel model = TCrowdModel::OnlyContinuous();
   InferenceResult r = model.Infer(w.world.schema, w.answers);
   for (int j : w.world.schema.CategoricalColumns()) {
     for (int i = 0; i < w.world.truth.num_rows(); ++i) {
       EXPECT_FALSE(r.estimated_truth.at(i, j).valid());
+    }
+  }
+}
+
+TEST(TCrowdModel, RestrictedVariantWithoutItsTypeEstimatesNothing) {
+  // A restricted variant on a table without its datatype models no column,
+  // so it estimates no cell (it must not fall back to the full model).
+  sim::TableGeneratorOptions all_cate = testing::SimWorld::DefaultTable();
+  all_cate.categorical_ratio = 1.0;
+  sim::TableGeneratorOptions all_cont = testing::SimWorld::DefaultTable();
+  all_cont.categorical_ratio = 0.0;
+  testing::SimWorld cate(807, 3, all_cate);
+  testing::SimWorld cont(808, 3, all_cont);
+  for (const auto& [result, world] :
+       {std::pair{TCrowdModel::OnlyContinuous().Infer(cate.world.schema,
+                                                      cate.answers),
+                  &cate},
+        std::pair{TCrowdModel::OnlyCategorical().Infer(cont.world.schema,
+                                                       cont.answers),
+                  &cont}}) {
+    for (int i = 0; i < world->world.truth.num_rows(); ++i) {
+      for (int j = 0; j < world->world.schema.num_columns(); ++j) {
+        EXPECT_FALSE(result.estimated_truth.at(i, j).valid())
+            << "cell " << i << "," << j;
+      }
     }
   }
 }
@@ -310,11 +334,9 @@ TEST(TCrowdModel, FullModelBeatsRestrictedVariants) {
   testing::SimWorld w(806, 4);
   InferenceResult full = TCrowdModel().Infer(w.world.schema, w.answers);
   InferenceResult cate =
-      TCrowdModel::OnlyCategorical(w.world.schema).Infer(w.world.schema,
-                                                         w.answers);
+      TCrowdModel::OnlyCategorical().Infer(w.world.schema, w.answers);
   InferenceResult cont =
-      TCrowdModel::OnlyContinuous(w.world.schema).Infer(w.world.schema,
-                                                        w.answers);
+      TCrowdModel::OnlyContinuous().Infer(w.world.schema, w.answers);
   auto cat_cols = w.world.schema.CategoricalColumns();
   auto cont_cols = w.world.schema.ContinuousColumns();
   EXPECT_LE(Metrics::ErrorRate(w.world.truth, full.estimated_truth, cat_cols),

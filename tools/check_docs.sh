@@ -72,9 +72,9 @@ if [ ! -f "$lifecycle" ]; then
   fail=1
 else
   # The answer path's stage APIs; each must stay documented by name.
-  for anchor in SubmitAnswer SubmitAnswerBatch AnswerSegment \
-                SegmentedAnswerStore SealAndSnapshot Tombstone \
-                EmExecutor Finalize; do
+  for anchor in SubmitAnswer SubmitAnswerBatch SegmentedAnswerStore \
+                AppendBatch Seal RetractNewest MaterializeAnswerSet \
+                AnswerSegment EmExecutor Finalize; do
     if ! grep -q -w "$anchor" "$lifecycle"; then
       echo "check_docs.sh: docs/DATA_LIFECYCLE.md no longer mentions" \
            "'$anchor' — update the lifecycle doc." >&2

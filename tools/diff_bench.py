@@ -8,7 +8,9 @@ Usage:
 Both inputs have the shape {"<bench_binary>": <google-benchmark report>}.
 Benchmarks are matched by (binary, benchmark name); the compared metric is
 real_time. A benchmark is flagged as a regression when its time grew by
-more than the threshold (default +15%). Exit code is always 0 — nightly
+more than the threshold (default +15%). Baseline benchmarks the current
+run lacks are listed as gone, so a deleted or renamed benchmark cannot
+drop out of the diff unnoticed. Exit code is always 0 — nightly
 timings on hosted runners are too noisy to gate on; the summary is for
 humans (and lands in $GITHUB_STEP_SUMMARY on CI). See docs/BENCHMARKING.md.
 """
@@ -70,10 +72,11 @@ def main():
         print(f"## Bench diff\n\ncurrent report unreadable ({e})")
         return 0
 
-    regressions, improvements, steady = [], [], 0
+    regressions, improvements, gone, steady = [], [], [], 0
     for key, t_base in sorted(base.items()):
         t_cur = cur.get(key)
         if t_cur is None:
+            gone.append(key)
             continue
         ratio = t_cur / t_base
         row = (key[0], key[1], t_base, t_cur, ratio)
@@ -96,7 +99,7 @@ def main():
               f"`BENCH_BUILD_DIR=build/release tools/run_bench.sh`.\n")
     print(f"{len(base)} baseline benchmarks, {steady} within ±{pct}%, "
           f"{len(regressions)} regressed, {len(improvements)} improved, "
-          f"{len(only_new)} new.\n")
+          f"{len(gone)} gone, {len(only_new)} new.\n")
 
     def table(title, rows):
         print(f"### {title}\n")
@@ -111,6 +114,11 @@ def main():
         table(f"⚠️ Regressions (> +{pct}%)", regressions)
     if improvements:
         table(f"Improvements (> -{pct}%)", improvements)
+    if gone:
+        print("### Gone (in the baseline, not in this run)\n")
+        for binary, name in gone:
+            print(f"- {binary}: `{name}`")
+        print()
     if only_new:
         print("### New benchmarks (no baseline)\n")
         for binary, name in only_new:

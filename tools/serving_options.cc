@@ -45,8 +45,7 @@ Status ParseServingOptions(const FlagParser& flags, ServingOptions* out) {
   }
   service::InferenceArgs engine;
   engine.method = opt.engine = flags.GetString("engine", "tcrowd");
-  if (service::IncrementalInferenceEngine::BatchMethod(Schema(), engine) ==
-      nullptr) {
+  if (service::IncrementalInferenceEngine::BatchMethod(engine) == nullptr) {
     return Status::InvalidArgument("unknown --engine=" + opt.engine);
   }
   opt.target = static_cast<int>(flags.GetInt("target", 4));

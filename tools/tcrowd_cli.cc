@@ -135,12 +135,11 @@ methods: tcrowd, tc-onlycate, tc-onlycont, mv, median, ds, zencrowd, glad,
 
 /// The batch method `name` names (the engine's factory), with the
 /// paper-faithful TCrowdOptions(); null on an unknown name.
-std::unique_ptr<TruthInference> PaperMethod(const std::string& name,
-                                            const Schema& schema) {
+std::unique_ptr<TruthInference> PaperMethod(const std::string& name) {
   service::InferenceArgs args;
   args.method = name;
   args.tcrowd_options = TCrowdOptions();
-  return service::IncrementalInferenceEngine::BatchMethod(schema, args);
+  return service::IncrementalInferenceEngine::BatchMethod(args);
 }
 
 /// Writes an estimated table as CSV: header of column names, then one row
@@ -244,7 +243,7 @@ int CmdInfer(const FlagParser& flags) {
     std::fprintf(stderr, "infer: %s\n", dataset.status().ToString().c_str());
     return 1;
   }
-  auto method = PaperMethod(method_name, dataset->schema);
+  auto method = PaperMethod(method_name);
   if (method == nullptr) {
     std::fprintf(stderr, "infer: unknown --method=%s\n", method_name.c_str());
     return 2;
@@ -290,7 +289,7 @@ int CmdEval(const FlagParser& flags) {
   for (const char* name :
        {"tcrowd", "crh", "catd", "mv", "ds", "glad", "zencrowd",
         "tc-onlycate", "median", "gtm", "tc-onlycont"}) {
-    auto method = PaperMethod(name, dataset->schema);
+    auto method = PaperMethod(name);
     InferenceResult result =
         method->Infer(dataset->schema, dataset->answers);
     bool has_cat_estimates = false, has_cont_estimates = false;
@@ -486,8 +485,9 @@ int CmdServeSim(const FlagParser& flags) {
   if (crash_after > 0) {
     // Crash drill (docs/PERSISTENCE.md): phase 1 serves until crash_after
     // answers were accepted, then the service is torn down mid-flight — no
-    // Finalize, sessions left open — exactly what a kill -9 leaves behind.
-    // Start from a clean slate so the drill is reproducible.
+    // Finalize, sessions left open. The teardown still journals the ingest
+    // queue, as a clean shutdown does; only a kill -9 loses it. Start from
+    // a clean slate so the drill is reproducible.
     Status st = service::SnapshotStore::WipeDirectory(checkpoint_dir);
     if (!st.ok()) {
       std::fprintf(stderr, "serve-sim: %s\n", st.ToString().c_str());

@@ -82,7 +82,7 @@ void ApplyIncrementalAnswer(const Answer& answer, TCrowdState* state) {
 }
 
 void EntropyPolicy::Refresh(const Schema& schema, const AnswerSet& answers) {
-  state_ = model_.Fit(schema, answers);
+  state_ = model_.Fit(schema, answers, fitted_ ? &state_ : nullptr);
   fitted_ = true;
 }
 
@@ -118,7 +118,7 @@ bool EntropyPolicy::SelectTaskExcluding(const Schema& schema,
 
 void InherentGainPolicy::Refresh(const Schema& schema,
                                  const AnswerSet& answers) {
-  state_ = model_.Fit(schema, answers);
+  state_ = model_.Fit(schema, answers, fitted_ ? &state_ : nullptr);
   fitted_ = true;
 }
 

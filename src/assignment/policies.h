@@ -51,6 +51,9 @@ class LoopingPolicy : public AssignmentPolicy {
 /// directly (paper Section 6.4.2 "Entropy" heuristic). Differential and
 /// Shannon entropies are NOT comparable, so this heuristic is biased toward
 /// continuous tasks — reproduced here deliberately.
+///
+/// Like every T-Crowd policy it refits its model in Refresh(): the first
+/// fit is cold, every later one starts its EM from the previous fit.
 class EntropyPolicy : public AssignmentPolicy {
  public:
   explicit EntropyPolicy(TCrowdOptions options = TCrowdOptions())
@@ -77,7 +80,8 @@ void ApplyIncrementalAnswer(const Answer& answer, TCrowdState* state);
 /// Inherent information gain policy (paper Section 5.1): assigns the task
 /// whose expected delta entropy under this worker's answer model is
 /// largest. Task scoring is parallelized across a thread pool (the paper's
-/// Section 5.1 parallelization note).
+/// Section 5.1 parallelization note). Refresh() refits warm after its first
+/// fit, as EntropyPolicy's does.
 class InherentGainPolicy : public AssignmentPolicy {
  public:
   explicit InherentGainPolicy(TCrowdOptions options = TCrowdOptions(),

@@ -218,10 +218,16 @@ double RunEStep(const Schema& schema, const AnswerSegment& layout,
 
 }  // namespace
 
-TCrowdState TCrowdModel::Fit(const Schema& schema,
-                             const AnswerSet& answers) const {
+TCrowdState TCrowdModel::Fit(const Schema& schema, const AnswerSet& answers,
+                             const TCrowdState* warm_start) const {
   TCROWD_CHECK(schema.num_columns() == answers.num_cols())
       << "schema/answers column mismatch";
+  TCROWD_CHECK(warm_start == nullptr ||
+               (warm_start->row_difficulty.size() ==
+                    static_cast<size_t>(answers.num_rows()) &&
+                warm_start->col_difficulty.size() ==
+                    static_cast<size_t>(answers.num_cols())))
+      << "warm-start state has a different table shape";
   TCrowdState state;
   state.schema = schema;
   state.num_rows = answers.num_rows();
@@ -250,14 +256,33 @@ TCrowdState TCrowdModel::Fit(const Schema& schema,
   for (int w = 0; w < layout.num_workers; ++w) {
     params[layout.phi_offset() + w] = std::log(options_.initial_phi);
   }
+  if (warm_start != nullptr) {
+    // Start where the previous fit ended: its alpha and beta, and its phi
+    // per worker id (a worker it never saw starts at its default_phi).
+    const double bound = options_.log_param_bound;
+    auto seed = [bound](double x) {
+      return std::clamp(std::log(x), -bound, bound);
+    };
+    for (int i = 0; layout.with_alpha && i < layout.num_rows; ++i) {
+      params[layout.alpha_offset() + i] = seed(warm_start->row_difficulty[i]);
+    }
+    for (int j = 0; layout.with_beta && j < layout.num_cols; ++j) {
+      params[layout.beta_offset() + j] = seed(warm_start->col_difficulty[j]);
+    }
+    for (int w = 0; w < layout.num_workers; ++w) {
+      params[layout.phi_offset() + w] =
+          seed(warm_start->WorkerPhi(answer_layout.worker_ids()[w]));
+    }
+  }
 
   EmExecutor executor(options_.num_threads);
 
   ExpParams xp;
   xp.Refresh(layout, params);
 
-  // Initial E-step with neutral difficulties and uniform worker quality
-  // (equivalent to frequency/mean-based initialization).
+  // Initial E-step: cold, with neutral difficulties and uniform worker
+  // quality (equivalent to frequency/mean-based initialization); warm, at
+  // the previous fit's parameters.
   RunEStep(schema, answer_layout, xp, &executor, &state);
 
   const double inv_diff_var =

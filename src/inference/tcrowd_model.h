@@ -61,7 +61,9 @@ struct TCrowdOptions {
 
   /// Cheaper settings for the inner loop of task-assignment experiments,
   /// where the model is refitted after every few answers and full
-  /// convergence buys nothing.
+  /// convergence buys nothing. A cold fit almost always runs into the
+  /// 12-iteration cap; a policy refit, warm-started from the previous fit,
+  /// mostly stops on objective_tolerance after about 6.
   static TCrowdOptions Fast() {
     TCrowdOptions opt;
     opt.max_em_iterations = 12;
@@ -142,7 +144,18 @@ class TCrowdModel : public TruthInference {
   /// Full fit, exposing the state task assignment needs. Lays the answers
   /// out once (an AnswerSegment) and runs the EM on an EmExecutor of
   /// options().num_threads shards. Blocks until the EM stops.
-  TCrowdState Fit(const Schema& schema, const AnswerSet& answers) const;
+  ///
+  /// Without `warm_start` the EM starts cold, from neutral difficulties and
+  /// options().initial_phi; every batch fit and Finalize do. With it, the
+  /// EM starts from that earlier fit's alpha, beta and phi (an unseen
+  /// worker from its default_phi, each clamped to log_param_bound), as the
+  /// assignment policies' refits over a growing log do (the incremental-EM
+  /// view of Neal & Hinton 1998). Only the starting point moves: the MAP
+  /// objective, its prior centres included, is the same. Only the
+  /// parameter fields of `*warm_start` are read; it must come from a fit
+  /// of the same table shape (checked).
+  TCrowdState Fit(const Schema& schema, const AnswerSet& answers,
+                  const TCrowdState* warm_start = nullptr) const;
 
   /// Converts a fitted state to the plain result interface.
   static InferenceResult StateToResult(const TCrowdState& state);

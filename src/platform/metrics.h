@@ -129,12 +129,14 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<LatencyStats>> latencies_;
 };
 
-/// RAII timer recording the scope's wall time into a LatencyStats.
+/// RAII timer recording the scope's wall time into a LatencyStats. A null
+/// `stats` records nothing.
 class ScopedLatencyTimer {
  public:
   explicit ScopedLatencyTimer(LatencyStats* stats)
       : stats_(stats), start_(std::chrono::steady_clock::now()) {}
   ~ScopedLatencyTimer() {
+    if (stats_ == nullptr) return;
     std::chrono::duration<double, std::micro> elapsed =
         std::chrono::steady_clock::now() - start_;
     stats_->Record(elapsed.count());

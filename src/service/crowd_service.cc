@@ -58,7 +58,8 @@ CrowdService::CrowdService(const Schema& schema, int num_rows,
       engine_(std::make_unique<IncrementalInferenceEngine>(
           schema, num_rows,
           WithRecorder(config_.inference, config_.recorder), &pool_)),
-      router_(std::move(policy), config_.router),
+      router_(std::move(policy), config_.router,
+              &metrics_.latency("service.policy_refresh")),
       answers_(num_rows, schema.num_columns()),
       tasks_(static_cast<size_t>(num_rows) * schema.num_columns()) {
   TCROWD_CHECK(num_rows_ > 0);
@@ -256,8 +257,10 @@ std::vector<CellRef> CrowdService::RequestTasks(SessionId session, int k) {
   }
   TCROWD_TRACE(kRouter, kDebug, "leases granted",
                static_cast<uint64_t>(session), picked.size());
-  // Routing depends on the policy's current fit — async refresh timing —
-  // so the grant itself is the recorded decision, not the request.
+  // The policy refits inline, so the grant is a function of the arrival
+  // history alone. The grant, not the request, is still what is recorded:
+  // a replay applies it without asking the policy, which keeps replay
+  // independent of the thread count.
   if (config_.recorder != nullptr) {
     config_.recorder->RecordLeases(static_cast<uint64_t>(session), picked);
   }

@@ -9,9 +9,10 @@
 namespace tcrowd::service {
 
 TaskRouter::TaskRouter(std::unique_ptr<AssignmentPolicy> policy,
-                       RouterOptions options)
+                       RouterOptions options, LatencyStats* refresh_latency)
     : policy_(std::move(policy)),
       options_(options),
+      refresh_latency_(refresh_latency),
       rng_(options.seed) {
   TCROWD_CHECK(policy_ != nullptr);
   options_.refresh_every_answers = std::max(1, options_.refresh_every_answers);
@@ -23,10 +24,7 @@ std::vector<CellRef> TaskRouter::Route(const Schema& schema,
                                        const std::vector<CellRef>& unavailable) {
   std::vector<CellRef> picked;
   if (k <= 0) return picked;
-  if (!refreshed_once_ && !answers.empty()) {
-    policy_->Refresh(schema, answers);
-    refreshed_once_ = true;
-  }
+  if (!refreshed_once_ && !answers.empty()) RefreshPolicy(schema, answers);
   // `exclude` accumulates the unavailable cells plus this request's own
   // picks, so the policy never hands the same cell out twice in one batch.
   std::vector<CellRef> exclude = unavailable;
@@ -48,6 +46,13 @@ std::vector<CellRef> TaskRouter::Route(const Schema& schema,
   TCROWD_TRACE(kRouter, kDebug, "route", policy_picked,
                picked.size() - policy_picked);
   return picked;
+}
+
+void TaskRouter::RefreshPolicy(const Schema& schema,
+                               const AnswerSet& answers) {
+  ScopedLatencyTimer timer(refresh_latency_);
+  policy_->Refresh(schema, answers);
+  refreshed_once_ = true;
 }
 
 void TaskRouter::Backfill(const AnswerSet& answers, WorkerId worker, int k,
@@ -77,8 +82,7 @@ void TaskRouter::OnAnswer(const Schema& schema, const AnswerSet& answers,
   policy_->Observe(schema, answers, answer);
   ++answers_since_refresh_;
   if (answers_since_refresh_ >= options_.refresh_every_answers) {
-    policy_->Refresh(schema, answers);
-    refreshed_once_ = true;
+    RefreshPolicy(schema, answers);
     ++refresh_count_;
     answers_since_refresh_ = 0;
   }

@@ -7,6 +7,7 @@
 
 #include "assignment/policy.h"
 #include "common/rng.h"
+#include "platform/metrics.h"
 
 namespace tcrowd::service {
 
@@ -39,8 +40,11 @@ struct RouterOptions {
 /// state).
 class TaskRouter {
  public:
-  /// Takes ownership of `policy` (must be non-null).
-  TaskRouter(std::unique_ptr<AssignmentPolicy> policy, RouterOptions options);
+  /// Takes ownership of `policy` (must be non-null). Every policy refit is
+  /// timed into `refresh_latency` when it is non-null; the caller keeps it
+  /// alive for the router's lifetime.
+  TaskRouter(std::unique_ptr<AssignmentPolicy> policy, RouterOptions options,
+             LatencyStats* refresh_latency = nullptr);
 
   /// Picks up to `k` distinct cells for `worker`, never returning a cell in
   /// `unavailable` nor one the worker already answered. May block on an
@@ -67,9 +71,12 @@ class TaskRouter {
   void Backfill(const AnswerSet& answers, WorkerId worker, int k,
                 const std::vector<CellRef>& unavailable,
                 std::vector<CellRef>* picked);
+  /// Refits the policy, timed into refresh_latency_.
+  void RefreshPolicy(const Schema& schema, const AnswerSet& answers);
 
   std::unique_ptr<AssignmentPolicy> policy_;
   RouterOptions options_;
+  LatencyStats* refresh_latency_;
   Rng rng_;
   int answers_since_refresh_ = 0;
   int refresh_count_ = 0;

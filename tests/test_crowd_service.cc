@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "assignment/policies.h"
@@ -224,6 +225,41 @@ TEST(CrowdService, MetricsCountersTrackTraffic) {
   EXPECT_EQ(value("service.answers_accepted"), 3);
   EXPECT_EQ(svc->metrics().latency("service.request_tasks").count(), 1);
   EXPECT_EQ(svc->metrics().latency("service.submit_answer").count(), 3);
+}
+
+/// Routes like LoopingPolicy and counts its refits.
+class CountingPolicy : public LoopingPolicy {
+ public:
+  explicit CountingPolicy(int* refreshes) : refreshes_(refreshes) {}
+  void Refresh(const Schema&, const AnswerSet&) override { ++*refreshes_; }
+
+ private:
+  int* refreshes_;
+};
+
+TEST(CrowdService, PolicyRefreshLatencyTimesEveryRefit) {
+  int refreshes = 0;
+  ServiceConfig config = CheapConfig(/*target=*/3);
+  config.router.refresh_every_answers = 3;
+  CrowdService svc(SmallSchema(), 4,
+                   std::make_unique<CountingPolicy>(&refreshes), config);
+  // The second worker's request runs the router's first refit; the
+  // answers then run one every 3.
+  for (WorkerId worker = 0; worker < 6; ++worker) {
+    CrowdService::SessionId session = svc.StartSession(worker);
+    for (const CellRef& cell : svc.RequestTasks(session, 2)) {
+      ASSERT_TRUE(
+          svc.SubmitAnswer(session, cell, ValueFor(svc.schema(), cell)).ok());
+    }
+    ASSERT_TRUE(svc.EndSession(session).ok());
+  }
+  ASSERT_GE(refreshes, 4);
+  EXPECT_EQ(svc.metrics().latency("service.policy_refresh").count(),
+            refreshes);
+  EXPECT_NE(svc.metrics().FormatPrometheus().find(
+                "tcrowd_service_policy_refresh_micros_count " +
+                std::to_string(refreshes)),
+            std::string::npos);
 }
 
 TEST(CrowdService, SubmitAnswerBatchMixedOutcomesKeepAccounting) {

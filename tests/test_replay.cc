@@ -2,7 +2,9 @@
 // recorded through ServiceConfig::recorder replays onto a fresh service
 // with a bit-identical Finalize() truth digest — at any replay thread
 // count — and a torn log (crash mid-record) still replays its clean
-// prefix through the crash point.
+// prefix through the crash point. A T-Crowd policy's lease decisions are
+// a function of the arrival history alone, so its runs repeat and replay
+// too.
 
 #include "service/replay.h"
 
@@ -11,6 +13,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "assignment/policies.h"
 #include "platform/event_log.h"
@@ -58,20 +61,33 @@ ServiceConfig ReplayConfig(int num_threads) {
   return config;
 }
 
-/// Records one adversarial scenario run (with Finalize) to a fresh event
-/// log at `path` and returns the recorded digest for cross-checks.
+/// The assignment policy a run routes with, by its serve-sim name:
+/// "looping", or "structure" (StructureAware over a Fast() T-Crowd model,
+/// refitted warm every 32 answers).
+std::unique_ptr<AssignmentPolicy> MakePolicy(const std::string& policy) {
+  if (policy == "structure") {
+    return std::make_unique<StructureAwarePolicy>(TCrowdOptions::Fast());
+  }
+  EXPECT_EQ(policy, "looping");
+  return std::make_unique<LoopingPolicy>();
+}
+
+/// Records one adversarial scenario run (with Finalize) under `policy` to
+/// a fresh event log at `path`. When `refits` is set, it receives how many
+/// policy refits the run made.
 void RecordScenarioRun(const std::string& scenario, uint64_t world_seed,
-                       uint64_t run_seed, const std::string& path) {
+                       uint64_t run_seed, const std::string& path,
+                       const std::string& policy = "looping",
+                       int64_t* refits = nullptr) {
   auto recorder = EventRecorder::Open(path);
   ASSERT_TRUE(recorder.ok()) << recorder.status().ToString();
-  (*recorder)->SetRunInfo(run_seed, "looping", "test-world");
+  (*recorder)->SetRunInfo(run_seed, policy, "test-world");
 
   SimWorld world(world_seed, /*answers_per_task=*/0, SmallTable(),
                  SmallCrowd());
   {
     CrowdService svc(world.world.schema, world.world.truth.num_rows(),
-                     std::make_unique<LoopingPolicy>(),
-                     RecordedConfig(recorder->get()));
+                     MakePolicy(policy), RecordedConfig(recorder->get()));
     sim::ScenarioSpec spec;
     ASSERT_TRUE(sim::FindScenario(scenario, &spec));
     sim::ScenarioOptions opt;
@@ -81,19 +97,23 @@ void RecordScenarioRun(const std::string& scenario, uint64_t world_seed,
     sim::ScenarioRunner runner(spec, &world.crowd, &svc, opt);
     runner.Run();
     svc.Finalize();  // records the kFinalize digest
+    if (refits != nullptr) {
+      *refits = svc.metrics().latency("service.policy_refresh").count();
+    }
   }
   ASSERT_TRUE((*recorder)->Close().ok());
 }
 
-/// Replays `path` onto a fresh service over the same world and returns the
-/// report. The world seed must match the recorded run's.
+/// Replays `path` onto a fresh service over the same world, routing with
+/// `policy`, and returns the report. The world seed must match the
+/// recorded run's.
 ReplayReport ReplayOnto(const std::string& path, uint64_t world_seed,
-                        int num_threads) {
+                        int num_threads,
+                        const std::string& policy = "looping") {
   SimWorld world(world_seed, /*answers_per_task=*/0, SmallTable(),
                  SmallCrowd());
   CrowdService svc(world.world.schema, world.world.truth.num_rows(),
-                   std::make_unique<LoopingPolicy>(),
-                   ReplayConfig(num_threads));
+                   MakePolicy(policy), ReplayConfig(num_threads));
   ReplayReport report;
   Status status = ReplayEventLogFile(path, &svc, &report);
   EXPECT_TRUE(status.ok()) << status.ToString();
@@ -147,6 +167,62 @@ TEST(Replay, DigestIsIndependentOfReplayThreadCount) {
   }
   EXPECT_EQ(digests[0], digests[1]);
   EXPECT_EQ(digests[1], digests[2]);
+  std::remove(path.c_str());
+}
+
+/// The lease grants of a recorded run, in order.
+std::vector<std::vector<CellRef>> LeaseSequence(const EventLogReplay& log) {
+  std::vector<std::vector<CellRef>> leases;
+  for (const RecordedEvent& e : log.events) {
+    if (e.type == EventType::kLeases) leases.push_back(e.cells);
+  }
+  return leases;
+}
+
+/// The Finalize digest of a recorded run; 0 when it has none.
+uint64_t FinalizeDigest(const EventLogReplay& log) {
+  for (const RecordedEvent& e : log.events) {
+    if (e.type == EventType::kFinalize) return e.digest;
+  }
+  return 0;
+}
+
+TEST(Replay, StructurePolicyDecisionsRepeatOverTheSameArrivals) {
+  // Two services see the same arrival stream. The policy refits warm from
+  // its own previous fit, inline, so both grant the same leases.
+  const std::string path_a = ::testing::TempDir() + "/replay_struct_a.events";
+  const std::string path_b = ::testing::TempDir() + "/replay_struct_b.events";
+  int64_t refits_a = 0, refits_b = 0;
+  RecordScenarioRun("retraction-storm", 56, 41, path_a, "structure",
+                    &refits_a);
+  RecordScenarioRun("retraction-storm", 56, 41, path_b, "structure",
+                    &refits_b);
+  EXPECT_GE(refits_a, 5);  // several warm refits after the first fit
+  EXPECT_EQ(refits_a, refits_b);
+
+  EventLogReplay a, b;
+  ASSERT_TRUE(ReadEventLogFile(path_a, &a).ok());
+  ASSERT_TRUE(ReadEventLogFile(path_b, &b).ok());
+  std::vector<std::vector<CellRef>> leases_a = LeaseSequence(a);
+  ASSERT_GT(leases_a.size(), 20u);
+  EXPECT_TRUE(leases_a == LeaseSequence(b));
+  ASSERT_NE(FinalizeDigest(a), 0u);
+  EXPECT_EQ(FinalizeDigest(a), FinalizeDigest(b));
+  std::remove(path_a.c_str());
+  std::remove(path_b.c_str());
+}
+
+TEST(Replay, StructurePolicyRunReplaysFaithfullyAtOneAndTwoThreads) {
+  const std::string path = ::testing::TempDir() + "/replay_struct.events";
+  RecordScenarioRun("spam-wave", 57, 43, path, "structure");
+  for (int threads : {1, 2}) {
+    ReplayReport report = ReplayOnto(path, 57, threads, "structure");
+    EXPECT_EQ(report.status_divergences, 0)
+        << "threads=" << threads << " " << report.first_divergence;
+    ASSERT_TRUE(report.reached_finalize) << "threads=" << threads;
+    EXPECT_TRUE(report.digest_match) << "threads=" << threads;
+    EXPECT_TRUE(report.ok()) << "threads=" << threads;
+  }
   std::remove(path.c_str());
 }
 

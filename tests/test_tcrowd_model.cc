@@ -538,5 +538,114 @@ TEST(TCrowdModel, DisabledDifficultiesStayNeutral) {
   for (double b : state.col_difficulty) EXPECT_DOUBLE_EQ(b, 1.0);
 }
 
+TEST(TCrowdModel, WarmStartFromAConvergedFitStopsAtOnce) {
+  testing::SimWorld w(812, 4);
+  const TCrowdModel model;  // paper-faithful
+  TCrowdState cold = model.Fit(w.world.schema, w.answers);
+  ASSERT_TRUE(cold.converged);
+  TCrowdState warm = model.Fit(w.world.schema, w.answers, &cold);
+  EXPECT_TRUE(warm.converged);
+  EXPECT_LE(warm.em_iterations, 2);
+  InferenceResult a = TCrowdModel::StateToResult(cold);
+  InferenceResult b = TCrowdModel::StateToResult(warm);
+  for (int i = 0; i < cold.num_rows; ++i) {
+    for (int j = 0; j < cold.num_cols; ++j) {
+      const Value& va = a.estimated_truth.at(i, j);
+      const Value& vb = b.estimated_truth.at(i, j);
+      if (w.world.schema.column(j).type == ColumnType::kCategorical) {
+        EXPECT_EQ(va.label(), vb.label()) << "cell " << i << "," << j;
+      } else {
+        EXPECT_NEAR(va.number(), vb.number(), 1e-4 * cold.col_scale[j])
+            << "cell " << i << "," << j;
+      }
+    }
+  }
+}
+
+TEST(TCrowdModel, WarmStartSeedsEveryParameterFromThePreviousFit) {
+  testing::SimWorld w(813, 3);
+  // The previous fit saw every worker but one.
+  const std::vector<WorkerId> workers = w.answers.Workers();
+  const WorkerId newcomer = workers[0];
+  const WorkerId extreme = workers[1];
+  AnswerSet earlier(w.answers.num_rows(), w.answers.num_cols());
+  for (const Answer& a : w.answers.answers()) {
+    if (a.worker != newcomer) earlier.Add(a);
+  }
+  TCrowdState warm = TCrowdModel().Fit(w.world.schema, earlier);
+  ASSERT_EQ(warm.worker_phi.count(newcomer), 0u);
+  // A seed beyond log_param_bound is clamped into it.
+  warm.worker_phi[extreme] = std::exp(20.0);
+
+  // With no EM iteration, the exported parameters are the seeds.
+  TCrowdOptions no_em;
+  no_em.max_em_iterations = 0;
+  TCrowdState seeded =
+      TCrowdModel(no_em).Fit(w.world.schema, w.answers, &warm);
+  EXPECT_EQ(seeded.em_iterations, 0);
+  ASSERT_EQ(seeded.row_difficulty.size(), warm.row_difficulty.size());
+  for (size_t i = 0; i < warm.row_difficulty.size(); ++i) {
+    EXPECT_NEAR(seeded.row_difficulty[i], warm.row_difficulty[i],
+                1e-12 * warm.row_difficulty[i]);
+  }
+  for (size_t j = 0; j < warm.col_difficulty.size(); ++j) {
+    EXPECT_NEAR(seeded.col_difficulty[j], warm.col_difficulty[j],
+                1e-12 * warm.col_difficulty[j]);
+  }
+  ASSERT_EQ(seeded.worker_phi.size(), workers.size());
+  for (const auto& [u, phi] : seeded.worker_phi) {
+    double expected = u == newcomer  ? warm.default_phi
+                      : u == extreme ? std::exp(no_em.log_param_bound)
+                                     : warm.worker_phi.at(u);
+    EXPECT_NEAR(phi, expected, 1e-12 * expected) << "worker " << u;
+  }
+
+  // A difficulty block that is not estimated stays neutral.
+  no_em.estimate_row_difficulty = false;
+  TCrowdState no_alpha =
+      TCrowdModel(no_em).Fit(w.world.schema, w.answers, &warm);
+  for (double a : no_alpha.row_difficulty) EXPECT_DOUBLE_EQ(a, 1.0);
+}
+
+TEST(TCrowdModel, WarmRefitsOnAGrowingLogTakeFewerIterations) {
+  testing::SimWorld w(811, 4);
+  // The world's answers arrive in a fixed shuffled order; a refit runs
+  // every 32 arrivals, as the service's policy refits do.
+  std::vector<Answer> arrivals = w.answers.answers();
+  Rng rng(811);
+  rng.Shuffle(&arrivals);
+  const TCrowdModel model(TCrowdOptions::Fast());
+  AnswerSet log(w.answers.num_rows(), w.answers.num_cols());
+  TCrowdState warm;
+  int refits = 0, cold_iterations = 0, warm_iterations = 0;
+  int warm_converged = 0;
+  for (size_t n = 0; n < arrivals.size(); ++n) {
+    log.Add(arrivals[n]);
+    if ((n + 1) % 32 != 0) continue;
+    TCrowdState cold = model.Fit(w.world.schema, log);
+    if (refits++ == 0) {
+      warm = std::move(cold);  // the first refit has nothing to start from
+      continue;
+    }
+    warm = model.Fit(w.world.schema, log, &warm);
+    cold_iterations += cold.em_iterations;
+    warm_iterations += warm.em_iterations;
+    warm_converged += warm.converged ? 1 : 0;
+  }
+  const int warm_refits = refits - 1;
+  ASSERT_GE(warm_refits, 20);
+  EXPECT_LT(warm_iterations, cold_iterations);
+  EXPECT_GT(2 * warm_converged, warm_refits);
+}
+
+TEST(TCrowdModelDeathTest, WarmStartOfAnotherShapeIsRefused) {
+  testing::SimWorld w(814, 2);
+  TCrowdState warm =
+      TCrowdModel(TCrowdOptions::Fast()).Fit(w.world.schema, w.answers);
+  AnswerSet fewer_rows(w.answers.num_rows() - 1, w.answers.num_cols());
+  EXPECT_DEATH(TCrowdModel().Fit(w.world.schema, fewer_rows, &warm),
+               "different table shape");
+}
+
 }  // namespace
 }  // namespace tcrowd
